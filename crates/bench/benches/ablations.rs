@@ -7,8 +7,8 @@
 //! 4. parallel vs sequential replica execution.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use decor_core::parallel::{par_best_candidate, run_replicas};
-use decor_core::{benefit_at, BenefitTable, CoverageMap, DeploymentConfig, Placer};
+use decor_core::parallel::run_replicas;
+use decor_core::{benefit_at, CentralizedGreedy, CoverageMap, DeploymentConfig, Placer};
 use decor_geom::{Aabb, GridIndex, Point};
 use decor_lds::{halton_points, random_points};
 use std::hint::black_box;
@@ -23,17 +23,10 @@ fn fresh_map(n_pts: usize, k: u32) -> (CoverageMap, DeploymentConfig) {
     (map, cfg)
 }
 
-/// Centralized greedy with the incremental table (the production path).
+/// Centralized greedy on the incrementally maintained benefit engine (the
+/// production path).
 fn greedy_incremental(mut map: CoverageMap, cfg: &DeploymentConfig) -> usize {
-    let cands: Vec<usize> = (0..map.n_points()).collect();
-    let mut table = BenefitTable::new(&map, cands, cfg.rs, cfg.k);
-    let mut placed = 0;
-    while let Some((_, _, pos, _)) = table.best() {
-        map.add_sensor(pos, cfg.rs);
-        table.on_sensor_added(&map, pos, cfg.rs);
-        placed += 1;
-    }
-    placed
+    CentralizedGreedy.place(&mut map, cfg).placed.len()
 }
 
 /// Centralized greedy recomputing every candidate's benefit per step.
@@ -55,22 +48,11 @@ fn greedy_naive(mut map: CoverageMap, cfg: &DeploymentConfig) -> usize {
     placed
 }
 
-/// Naive greedy with the crossbeam-parallel candidate scan.
-fn greedy_parallel_scan(mut map: CoverageMap, cfg: &DeploymentConfig) -> usize {
-    let cands: Vec<usize> = (0..map.n_points()).collect();
-    let mut placed = 0;
-    while let Some((pid, _)) = par_best_candidate(&map, &cands, cfg.rs, cfg.k) {
-        map.add_sensor(map.points()[pid], cfg.rs);
-        placed += 1;
-    }
-    placed
-}
-
 fn bench_benefit_maintenance(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_benefit_maintenance");
     g.sample_size(10);
     let n = 600;
-    g.bench_function("incremental_table", |b| {
+    g.bench_function("incremental_engine", |b| {
         b.iter_batched(
             || fresh_map(n, 2),
             |(map, cfg)| black_box(greedy_incremental(map, &cfg)),
@@ -81,13 +63,6 @@ fn bench_benefit_maintenance(c: &mut Criterion) {
         b.iter_batched(
             || fresh_map(n, 2),
             |(map, cfg)| black_box(greedy_naive(map, &cfg)),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("parallel_scan", |b| {
-        b.iter_batched(
-            || fresh_map(n, 2),
-            |(map, cfg)| black_box(greedy_parallel_scan(map, &cfg)),
             BatchSize::LargeInput,
         )
     });
@@ -142,28 +117,14 @@ fn bench_approximation_backend(c: &mut Criterion) {
     g.bench_function("deploy_on_halton", |b| {
         b.iter_batched(
             || CoverageMap::new(halton_points(600, &field), &field, &cfg),
-            |mut map| {
-                black_box(
-                    decor_core::CentralizedGreedy
-                        .place(&mut map, &cfg)
-                        .placed
-                        .len(),
-                )
-            },
+            |mut map| black_box(CentralizedGreedy.place(&mut map, &cfg).placed.len()),
             BatchSize::LargeInput,
         )
     });
     g.bench_function("deploy_on_random_points", |b| {
         b.iter_batched(
             || CoverageMap::new(random_points(600, &field, 4), &field, &cfg),
-            |mut map| {
-                black_box(
-                    decor_core::CentralizedGreedy
-                        .place(&mut map, &cfg)
-                        .placed
-                        .len(),
-                )
-            },
+            |mut map| black_box(CentralizedGreedy.place(&mut map, &cfg).placed.len()),
             BatchSize::LargeInput,
         )
     });

@@ -4,10 +4,11 @@
 //!
 //! 1. **Guarded batch** — a fixed 64-run matrix (tiny deploy scenarios
 //!    across two schemes) through [`MatrixRunner`], timed end to end.
-//!    The median lands in `BENCH_PR8.json` and `scripts/bench_guard.sh`
-//!    gates regressions: this is the service's unit of work, so runner
-//!    overhead (claiming, scattering, aggregation plumbing) shows up
-//!    here before it shows up in a fleet.
+//!    The median lands in `BENCH_PR8.json` (before the worker arenas)
+//!    and `BENCH_PR9.json` (after), and `scripts/bench_guard.sh` gates
+//!    regressions against the latter: this is the service's unit of
+//!    work, so runner overhead (claiming, scattering, aggregation
+//!    plumbing) shows up here before it shows up in a fleet.
 //!
 //! 2. **Saturation** — one pass over a `PR8_RUNS`-run matrix (default
 //!    10 000) printing runs/sec and worker utilization

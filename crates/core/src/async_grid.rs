@@ -188,8 +188,8 @@ impl Placer for AsyncGridDecor {
                                     if !cells.members[nc].is_empty() {
                                         return None;
                                     }
-                                    crate::grid_scheme::GridDecor::best_candidate_for(
-                                        map, &cells, nc, cfg,
+                                    crate::grid_scheme::GridDecor::best_candidate(
+                                        map, &cells, nc, cfg, None,
                                     )
                                     .map(|(pid, _)| (nc, pid))
                                 })

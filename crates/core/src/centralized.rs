@@ -7,59 +7,16 @@
 //! efficient placement than DECOR"); it exchanges no messages because a
 //! central authority sees everything.
 
-use crate::benefit::BenefitTable;
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
 use crate::metrics::{PlacementOutcome, TracePoint};
 use crate::scratch::SimScratch;
 use crate::Placer;
 
-/// The centralized greedy baseline.
-///
-/// `trace_every` controls how often the coverage trace is sampled
-/// (1 = after every placement, the default).
+/// The centralized greedy baseline. Its coverage trace samples every
+/// placement.
 #[derive(Clone, Copy, Debug)]
 pub struct CentralizedGreedy;
-
-impl CentralizedGreedy {
-    /// The pre-engine implementation: a [`BenefitTable`] whose `best()` is
-    /// a linear scan over all candidates and whose updates recompute every
-    /// affected benefit. Kept as the reference path for the differential
-    /// tests and the PR-1 benchmark; placement sequences are bit-identical
-    /// to [`Placer::place`].
-    pub fn place_with_benefit_table(
-        &self,
-        map: &mut CoverageMap,
-        cfg: &DeploymentConfig,
-    ) -> PlacementOutcome {
-        cfg.validate();
-        let initial = map.n_active_sensors();
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        let mut table = BenefitTable::new(map, cands, cfg.rs, cfg.k);
-        let mut out = PlacementOutcome {
-            initial_sensors: initial,
-            ..PlacementOutcome::default()
-        };
-        out.trace.push(TracePoint {
-            total_sensors: initial,
-            fraction_k_covered: map.fraction_k_covered(cfg.k),
-        });
-        while out.placed.len() < cfg.max_new_nodes {
-            let Some((_, _, pos, _)) = table.best() else {
-                break; // zero benefit everywhere => fully k-covered
-            };
-            map.add_sensor(pos, cfg.rs);
-            table.on_sensor_added(map, pos, cfg.rs);
-            out.placed.push(pos);
-            out.trace.push(TracePoint {
-                total_sensors: initial + out.placed.len(),
-                fraction_k_covered: map.fraction_k_covered(cfg.k),
-            });
-        }
-        out.fully_covered = map.count_below(cfg.k) == 0;
-        out
-    }
-}
 
 impl Placer for CentralizedGreedy {
     fn name(&self) -> String {
@@ -103,7 +60,7 @@ impl Placer for CentralizedGreedy {
             fraction_k_covered: map.fraction_k_covered(cfg.k),
         });
         while out.placed.len() < cfg.max_new_nodes {
-            let Some((_, _, pos, _)) = engine.best(map) else {
+            let Some((_, _, pos, _)) = engine.best() else {
                 break; // zero benefit everywhere => fully k-covered
             };
             map.add_sensor(pos, cfg.rs);
@@ -122,6 +79,7 @@ impl Placer for CentralizedGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benefit::benefit_at;
     use decor_geom::Aabb;
     use decor_lds::halton_points;
 
@@ -228,10 +186,31 @@ mod tests {
         assert_eq!(out.messages.protocol_total, 0);
     }
 
+    /// The naive greedy oracle: each step evaluates [`benefit_at`] at
+    /// every point and places at the argmax (ties to the lowest id) until
+    /// no point has positive benefit.
+    fn naive_greedy(map: &mut CoverageMap, cfg: &DeploymentConfig) -> Vec<decor_geom::Point> {
+        let mut placed = Vec::new();
+        while placed.len() < cfg.max_new_nodes {
+            let mut best: Option<(usize, u64)> = None;
+            for pid in 0..map.n_points() {
+                let b = benefit_at(map, map.points()[pid], cfg.rs, cfg.k);
+                if b > 0 && best.is_none_or(|(_, bb)| b > bb) {
+                    best = Some((pid, b));
+                }
+            }
+            let Some((pid, _)) = best else { break };
+            let pos = map.points()[pid];
+            map.add_sensor(pos, cfg.rs);
+            placed.push(pos);
+        }
+        placed
+    }
+
     #[test]
-    fn engine_path_matches_benefit_table_path() {
-        // The sharded engine must reproduce the seed BenefitTable path
-        // bit-for-bit: same placements in the same order, same trace.
+    fn engine_path_matches_naive_greedy() {
+        // The sharded engine must reproduce the naive greedy bit-for-bit:
+        // same placements in the same order, same trace.
         for (k, initial) in [(1u32, 0usize), (2, 25), (3, 60)] {
             let cfg = DeploymentConfig::with_k(k);
             let mut m_engine = fresh_map(700, &cfg);
@@ -244,23 +223,20 @@ mod tests {
                     cfg.rs,
                 );
             }
-            let mut m_table = m_engine.clone();
+            let mut m_naive = m_engine.clone();
             let a = CentralizedGreedy.place(&mut m_engine, &cfg);
-            let b = CentralizedGreedy.place_with_benefit_table(&mut m_table, &cfg);
-            assert_eq!(a.placed, b.placed, "k={k} initial={initial}");
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.trace.len(), b.trace.len());
-            for (ta, tb) in a.trace.iter().zip(&b.trace) {
-                assert_eq!(ta.total_sensors, tb.total_sensors);
-                assert_eq!(ta.fraction_k_covered, tb.fraction_k_covered);
-            }
+            let b = naive_greedy(&mut m_naive, &cfg);
+            assert_eq!(a.placed, b, "k={k} initial={initial}");
+            assert!(a.fully_covered);
+            assert_eq!(a.trace.len(), b.len() + 1);
+            assert_eq!(a.trace.last().unwrap().fraction_k_covered, 1.0);
         }
     }
 
     #[test]
-    fn restoration_from_damage_hole_matches_reference_path() {
-        // The engine path restricts candidates to deficient tiles plus an
-        // rs-ring; the reference path sweeps every point. After an area
+    fn restoration_from_damage_hole_matches_naive_greedy() {
+        // The engine restricts candidates to deficient tiles plus an
+        // rs-ring; the naive greedy sweeps every point. After an area
         // failure both must restore with bit-identical placements.
         let cfg = DeploymentConfig::with_k(2);
         let mut map = fresh_map(900, &cfg);
@@ -281,10 +257,10 @@ mod tests {
             }
         }
         assert!(map.count_below(cfg.k) > 0, "the hole must create deficit");
-        let mut m_table = map.clone();
+        let mut m_naive = map.clone();
         let a = CentralizedGreedy.place(&mut map, &cfg);
-        let b = CentralizedGreedy.place_with_benefit_table(&mut m_table, &cfg);
-        assert_eq!(a.placed, b.placed, "restoration placements must match");
+        let b = naive_greedy(&mut m_naive, &cfg);
+        assert_eq!(a.placed, b, "restoration placements must match");
         assert!(a.fully_covered);
         map.verify_consistency();
     }

@@ -24,18 +24,19 @@
 //! `rc >= 2·√2·cell` (the paper's `rc = 10·√2` for 5×5 cells); the scheme
 //! configures its accounting network accordingly.
 //!
-//! On a lossy medium (`cfg.link.loss_rate > 0`) those notices ride the
-//! reliable transport (`decor_net::transport`). A notice that exhausts its
-//! retry budget leaves the *cell* blind to the announced sensor
-//! ([`crate::NeighborKnowledge`], keyed by cell index — cell members share
-//! a blackboard, so whoever leads next round inherits the gap), and the
-//! blind cell may re-cover the border redundantly. The transport bounds
-//! that waste; the fire-and-forget reference path would let it grow
-//! silently.
+//! Those notices ride the reliable transport (`decor_net::transport`). On
+//! a lossy medium a notice that exhausts its retry budget leaves the
+//! *cell* blind to the announced sensor ([`crate::NeighborKnowledge`],
+//! keyed by cell index — cell members share a blackboard, so whoever leads
+//! next round inherits the gap), and the blind cell may re-cover the
+//! border redundantly. The transport bounds that waste.
+//!
+//! Each round every leader scans its cell's points directly, reading the
+//! coverage map and the cell's ledger afresh, so blind spots and crashed
+//! sensors need no cache maintenance.
 
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
-use crate::engine::ShardedBenefitEngine;
 use crate::invariants::InvariantChecker;
 use crate::knowledge::NeighborKnowledge;
 use crate::metrics::{MessageStats, PlacementOutcome, TracePoint};
@@ -173,7 +174,7 @@ impl Cells {
     }
 }
 
-/// Grid-scheme round-loop scratch: every per-run buffer `place_impl`
+/// Grid-scheme round-loop scratch: every per-run buffer the round loop
 /// needs, pooled inside [`SimScratch`] so warm runs reuse the capacity.
 /// All state is fully re-derived per run — nothing observable leaks
 /// between runs.
@@ -183,16 +184,6 @@ pub(crate) struct GridScratch {
     cells: Option<Cells>,
     /// Sensor id per network node id.
     sid_of: Vec<usize>,
-    /// Shard index per cell (`u32::MAX` = no shard).
-    shard_of_cell: Vec<u32>,
-    /// Per-cell deficiency flags used while building the partition.
-    deficient: Vec<bool>,
-    /// Deficient point ids (`CoverageMap::uncovered_ids_into` target).
-    uncovered: Vec<usize>,
-    /// Engine partition: the points of each deficient cell.
-    partition: Vec<Vec<usize>>,
-    /// Engine-path adoption scan lists (shard-bearing neighbors).
-    adopt_targets: Vec<Vec<usize>>,
     /// Round decisions: (acting cell, leader, target pid, benefit).
     decisions: Vec<(usize, NodeId, usize, u64)>,
     /// Empty cells claimed by adoption this round.
@@ -212,8 +203,8 @@ pub(crate) struct GridScratch {
 /// Retires chaos-crashed nodes from the grid placer's world: the coverage
 /// map deactivates the sensor (ground truth drops), the cell drops the
 /// member (so rotations never elect the dead), and the invariant checker
-/// learns the death. The sharded engine needs no update because chaos
-/// runs disable it (see `place_impl`).
+/// learns the death. The per-cell scan reads the map afresh every round,
+/// so nothing else needs updating.
 fn retire_crashed(
     crashed: Vec<NodeId>,
     map: &mut CoverageMap,
@@ -260,8 +251,7 @@ impl GridDecor {
         let c = map.points()[pid];
         let mut b = 0u64;
         // Radius query over the frozen point index, filtered to the cell's
-        // own points; the sum is order-independent integer addition, so
-        // the result matches the old scan over `cells.points[ci]` exactly.
+        // own points; the sum is order-independent integer addition.
         map.for_each_point_within_unordered(c, cfg.rs, |qid, _| {
             if cells.cell_of_pid[qid] == ci as u32 {
                 let kp = Self::estimated_coverage(map, qid, hidden);
@@ -273,20 +263,12 @@ impl GridDecor {
         b
     }
 
-    /// The best candidate point of cell `ci`: among the cell's deficient
-    /// points, the one of maximum truncated benefit (ties to lowest id).
-    /// Shared with the asynchronous implementation (which runs on a perfect
-    /// medium, hence no blind spots).
-    pub(crate) fn best_candidate_for(
-        map: &CoverageMap,
-        cells: &Cells,
-        ci: usize,
-        cfg: &DeploymentConfig,
-    ) -> Option<(usize, u64)> {
-        Self::best_candidate(map, cells, ci, cfg, None)
-    }
-
-    fn best_candidate(
+    /// The best candidate point of cell `ci` as a leader with blind spots
+    /// `hidden` sees it: among the cell's deficient points, the one of
+    /// maximum truncated benefit (ties to lowest id). Shared with the
+    /// asynchronous implementation, which runs on a perfect medium and
+    /// passes `None`.
+    pub(crate) fn best_candidate(
         map: &CoverageMap,
         cells: &Cells,
         ci: usize,
@@ -305,39 +287,6 @@ impl GridDecor {
         }
         best
     }
-
-    /// Per-cell best query, answered by the sharded engine when one is in
-    /// use (cached per-cell maxima, delta-maintained) and by the direct
-    /// O(cell²) scan otherwise. Both produce identical results — the
-    /// equivalence is tested below. The engine path assumes ground-truth
-    /// coverage, so `place_impl` never enables it on a lossy medium (where
-    /// estimates also depend on the knowledge ledger).
-    ///
-    /// The engine covers only the cells that were deficient at build time
-    /// (`shard_of_cell[ci] == u32::MAX` marks the rest): on the loss-free
-    /// no-chaos path coverage is monotone, so a cell that starts clean can
-    /// never regain a positive truncated benefit — the direct scan would
-    /// answer `None` for it on every round.
-    fn cell_best(
-        engine: &mut Option<&mut ShardedBenefitEngine>,
-        shard_of_cell: &[u32],
-        map: &CoverageMap,
-        cells: &Cells,
-        ci: usize,
-        cfg: &DeploymentConfig,
-        hidden: Option<&BTreeSet<usize>>,
-    ) -> Option<(usize, u64)> {
-        match engine.as_mut() {
-            Some(e) => {
-                debug_assert!(hidden.is_none(), "engine requires ground-truth coverage");
-                match shard_of_cell[ci] {
-                    u32::MAX => None,
-                    si => e.best_in_shard(map, si as usize),
-                }
-            }
-            None => Self::best_candidate(map, cells, ci, cfg, hidden),
-        }
-    }
 }
 
 impl Placer for GridDecor {
@@ -346,7 +295,7 @@ impl Placer for GridDecor {
     }
 
     fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        self.place_impl(map, cfg, true, true, &mut SimScratch::new())
+        self.place_in(map, cfg, &mut SimScratch::new())
     }
 
     fn place_in(
@@ -355,52 +304,21 @@ impl Placer for GridDecor {
         cfg: &DeploymentConfig,
         scratch: &mut SimScratch,
     ) -> PlacementOutcome {
-        self.place_impl(map, cfg, true, true, scratch)
-    }
-}
-
-impl GridDecor {
-    /// Implementation behind [`Placer::place`]. `use_engine` switches
-    /// between the sharded engine with per-cell cached maxima (production)
-    /// and the direct O(cell²) per-cell scan (reference); `use_transport`
-    /// between reliable ack/retry notices (production) and fire-and-forget
-    /// unicasts (the pre-transport reference, valid only on a loss-free
-    /// medium). Differential tests below pin the paths to identical
-    /// placements.
-    fn place_impl(
-        &self,
-        map: &mut CoverageMap,
-        cfg: &DeploymentConfig,
-        use_engine: bool,
-        use_transport: bool,
-        scratch: &mut SimScratch,
-    ) -> PlacementOutcome {
         cfg.validate();
         assert!(
             self.cell_size > 0.0 && self.cell_size.is_finite(),
             "cell size must be positive"
         );
-        let lossy = cfg.link.is_lossy();
-        // The engine caches ground-truth per-cell maxima; under loss the
-        // estimates also depend on the knowledge ledger, and under chaos
-        // crashes retire sensors the cache cannot un-add — scan directly.
-        let use_engine = use_engine && !lossy && cfg.chaos.is_none();
         let field = *map.field();
         // Split the scratch into its independent pools up front so the
         // round loop can borrow them side by side.
         let SimScratch {
-            engine: engine_pool,
             net: net_pool,
             transport: transport_pool,
             grid:
                 GridScratch {
                     cells: cells_pool,
                     sid_of,
-                    shard_of_cell,
-                    deficient,
-                    uncovered,
-                    partition,
-                    adopt_targets,
                     decisions,
                     claimed_empty,
                     pending,
@@ -432,24 +350,14 @@ impl GridDecor {
         };
         cfg.link.apply(&mut net);
         net.set_trace(cfg.trace.clone());
-        let mut transport = if use_transport {
-            Some(match transport_pool.take() {
-                Some(mut t) => {
-                    t.reset(cfg.link.transport());
-                    t
-                }
-                None => Transport::new(cfg.link.transport()),
-            })
-        } else {
-            None
+        let mut transport = match transport_pool.take() {
+            Some(mut t) => {
+                t.reset(cfg.link.transport());
+                t
+            }
+            None => Transport::new(cfg.link.transport()),
         };
-        // Chaos rides the transport clock, so the fire-and-forget
-        // reference path ignores any configured plan (differential tests
-        // never combine the two).
-        let mut chaos = match (&transport, &cfg.chaos) {
-            (Some(_), Some(plan)) => Some(ChaosEngine::borrowed(plan)),
-            _ => None,
-        };
+        let mut chaos = cfg.chaos.as_ref().map(ChaosEngine::borrowed);
         // Viewer key: cell index. Cell members share a blackboard, so a
         // missed notice blinds the whole cell across leader rotations.
         let mut knowledge = NeighborKnowledge::new();
@@ -461,64 +369,10 @@ impl GridDecor {
             let nid = net.add_node(pos, cfg.rs, rc_grid);
             debug_assert_eq!(nid, sid_of.len());
             sid_of.push(sid);
-            {
-                let ci_new = cells.index_of(pos);
-                cells.members[ci_new].push(nid);
-            }
+            let home = cells.index_of(pos);
+            cells.members[home].push(nid);
         }
         let initial = map.n_active_sensors();
-        // One shard per *deficient* cell: per-cell truncated benefits
-        // delta-maintained, per-cell best cached until a placement lands in
-        // the cell. Restoration runs start with most of the field healthy,
-        // so the engine build (the O(points·deg) part) touches only the
-        // damaged cells — `uncovered_ids` walks the coverage map's
-        // deficient tiles rather than sweeping the field.
-        let mut engine: Option<&mut ShardedBenefitEngine> = None;
-        shard_of_cell.clear();
-        if use_engine {
-            shard_of_cell.resize(cells.len(), u32::MAX);
-            deficient.clear();
-            deficient.resize(cells.len(), false);
-            map.uncovered_ids_into(cfg.k, uncovered);
-            for &pid in uncovered.iter() {
-                deficient[cells.cell_of_pid[pid] as usize] = true;
-            }
-            // Partition slots are recycled in place; only the first
-            // `n_shards` entries are meaningful this run.
-            let mut n_shards = 0usize;
-            for ci in 0..cells.len() {
-                if deficient[ci] {
-                    shard_of_cell[ci] = n_shards as u32;
-                    if n_shards == partition.len() {
-                        partition.push(Vec::new());
-                    }
-                    partition[n_shards].clear();
-                    partition[n_shards].extend_from_slice(&cells.points[ci]);
-                    n_shards += 1;
-                }
-            }
-            engine_pool.reset_cells(map, &partition[..n_shards], cfg.rs, cfg.k);
-            engine = Some(engine_pool);
-        }
-        // On the engine path adoption can only land in a shard-bearing
-        // neighbor (clean cells answer `None` forever), so each cell's
-        // adoption scan list shrinks to those, preserving neighbor order.
-        let use_adopt_targets = engine.is_some();
-        if use_adopt_targets {
-            for ci in 0..cells.len() {
-                if ci == adopt_targets.len() {
-                    adopt_targets.push(Vec::new());
-                }
-                cells.neighbors_into(ci, neigh);
-                adopt_targets[ci].clear();
-                adopt_targets[ci].extend(
-                    neigh
-                        .iter()
-                        .copied()
-                        .filter(|&nc| shard_of_cell[nc] != u32::MAX),
-                );
-            }
-        }
         let mut out = PlacementOutcome {
             initial_sensors: initial,
             ..PlacementOutcome::default()
@@ -531,8 +385,8 @@ impl GridDecor {
         let mut round: u64 = 0;
         while out.placed.len() < cfg.max_new_nodes && (round as usize) < MAX_ROUNDS {
             // Faults due by now land before any election of this round.
-            if let (Some(ch), Some(tr)) = (chaos.as_mut(), transport.as_ref()) {
-                ch.advance_to(&mut net, tr.now());
+            if let Some(ch) = chaos.as_mut() {
+                ch.advance_to(&mut net, transport.now());
                 retire_crashed(
                     ch.take_crashed(),
                     map,
@@ -542,9 +396,7 @@ impl GridDecor {
                     &cfg.invariants,
                 );
             }
-            if let Some(tr) = transport.as_ref() {
-                cfg.trace.set_time(tr.now());
-            }
+            cfg.trace.set_time(transport.now());
             cfg.trace.emit(TraceEvent::RoundBegin {
                 scheme: "grid",
                 round,
@@ -553,7 +405,6 @@ impl GridDecor {
             // entry: (acting cell, leader node, target point id, benefit).
             decisions.clear();
             claimed_empty.clear();
-            #[allow(clippy::needless_range_loop)] // ci indexes members + adopt_targets
             for ci in 0..cells.len() {
                 if cells.members[ci].is_empty() {
                     continue;
@@ -576,9 +427,7 @@ impl GridDecor {
                     net.is_alive(leader),
                 );
                 let hidden = knowledge.hidden_from(ci);
-                if let Some((pid, b)) =
-                    Self::cell_best(&mut engine, shard_of_cell, map, &cells, ci, cfg, hidden)
-                {
+                if let Some((pid, b)) = Self::best_candidate(map, &cells, ci, cfg, hidden) {
                     if cfg.invariants.is_enabled() {
                         cfg.invariants.check_estimate(
                             pid,
@@ -592,22 +441,13 @@ impl GridDecor {
                 // Own cell covered: adopt one neighboring empty cell with
                 // deficient points, if any (lowest index, not yet claimed
                 // this round). The adopting leader judges the empty cell
-                // with its own cell's knowledge. On the engine path the
-                // scan list was precomputed down to shard-bearing
-                // neighbors; everything else is a guaranteed `None`.
-                let adoption_scan: &[usize] = if use_adopt_targets {
-                    &adopt_targets[ci]
-                } else {
-                    cells.neighbors_into(ci, neigh);
-                    neigh
-                };
-                for &nc in adoption_scan {
+                // with its own cell's knowledge.
+                cells.neighbors_into(ci, neigh);
+                for &nc in neigh.iter() {
                     if !cells.members[nc].is_empty() || claimed_empty.contains(&nc) {
                         continue;
                     }
-                    if let Some((pid, b)) =
-                        Self::cell_best(&mut engine, shard_of_cell, map, &cells, nc, cfg, hidden)
-                    {
+                    if let Some((pid, b)) = Self::best_candidate(map, &cells, nc, cfg, hidden) {
                         if cfg.invariants.is_enabled() {
                             cfg.invariants.check_estimate(
                                 pid,
@@ -657,14 +497,11 @@ impl GridDecor {
                     break;
                 }
                 // Base-station dispatch plans from ground truth (no ledger).
-                let deficient_cell = (0..cells.len()).find(|&ci| {
-                    Self::cell_best(&mut engine, shard_of_cell, map, &cells, ci, cfg, None)
-                        .is_some()
-                });
-                let Some(target) = deficient_cell else { break };
-                let (pid, b) =
-                    Self::cell_best(&mut engine, shard_of_cell, map, &cells, target, cfg, None)
-                        .unwrap();
+                let Some((target, (pid, b))) = (0..cells.len()).find_map(|ci| {
+                    Self::best_candidate(map, &cells, ci, cfg, None).map(|best| (ci, best))
+                }) else {
+                    break;
+                };
                 let seeder = (0..cells.len())
                     .filter(|&ci| !cells.members[ci].is_empty())
                     .min_by(|&a, &b| {
@@ -681,15 +518,10 @@ impl GridDecor {
                         // No sensors anywhere: bootstrap one out-of-band.
                         let pos = map.points()[pid];
                         let new_sid = map.add_sensor(pos, cfg.rs);
-                        if let Some(e) = engine.as_mut() {
-                            e.on_sensor_added(map, pos, cfg.rs);
-                        }
                         let nid = net.add_node(pos, cfg.rs, rc_grid);
                         sid_of.push(new_sid);
-                        {
-                            let ci_new = cells.index_of(pos);
-                            cells.members[ci_new].push(nid);
-                        }
+                        let home = cells.index_of(pos);
+                        cells.members[home].push(nid);
                         out.placed.push(pos);
                         cfg.trace.emit(TraceEvent::SensorPlaced {
                             x: pos.x,
@@ -724,15 +556,10 @@ impl GridDecor {
                     .check_placer_alive("grid", leader as u64, net.is_alive(leader));
                 let pos = map.points()[pid];
                 let new_sid = map.add_sensor(pos, cfg.rs);
-                if let Some(e) = engine.as_mut() {
-                    e.on_sensor_added(map, pos, cfg.rs);
-                }
                 let nid = net.add_node(pos, cfg.rs, rc_grid);
                 sid_of.push(new_sid);
-                {
-                    let ci_new = cells.index_of(pos);
-                    cells.members[ci_new].push(nid);
-                }
+                let home = cells.index_of(pos);
+                cells.members[home].push(nid);
                 out.placed.push(pos);
                 cfg.trace.emit(TraceEvent::SensorPlaced {
                     x: pos.x,
@@ -751,98 +578,75 @@ impl GridDecor {
                     if disk.intersects_aabb(&cells.rect(nc)) {
                         let nb_leader =
                             rotation_leader_in(&cells.members[nc], round, elect).unwrap();
-                        match transport.as_mut() {
-                            Some(tr) => {
-                                let id =
-                                    tr.send(leader, nb_leader, Message::PlacementNotice { pos });
-                                pending.push((id, nc, new_sid));
-                            }
-                            None => {
-                                // Best effort: range failures (exotic
-                                // geometries) are modelled as multi-hop and
-                                // still counted.
-                                if net
-                                    .unicast(leader, nb_leader, Message::PlacementNotice { pos })
-                                    .is_err()
-                                {
-                                    net.stats.protocol_sent += 1;
-                                    net.stats.total_sent += 1;
-                                }
-                            }
-                        }
+                        let id =
+                            transport.send(leader, nb_leader, Message::PlacementNotice { pos });
+                        pending.push((id, nc, new_sid));
                     }
                 }
             }
-            if let Some(tr) = transport.as_mut() {
-                // Under chaos the flush interleaves fault injection with
-                // the retry clock, so crashes land between retransmissions.
-                match chaos.as_mut() {
-                    Some(ch) => tr.flush_chaos_into(&mut net, ch, flushed),
-                    None => tr.flush_into(&mut net, flushed),
-                }
-                // Ids are unique, so a sorted slice answers the same
-                // lookups the old per-round BTreeMap did, without its
-                // node allocations.
-                flushed.sort_unstable_by_key(|&(id, _)| id);
-                for &(id, nc, new_sid) in pending.iter() {
-                    let outcome = flushed
-                        .binary_search_by_key(&id, |&(i, _)| i)
-                        .ok()
-                        .map(|ix| &flushed[ix].1);
-                    match outcome {
-                        Some(DeliveryOutcome::Delivered { .. }) => {
-                            cfg.invariants.check_ledger(
-                                nc as u64,
-                                new_sid as u64,
-                                true,
-                                knowledge.knows(nc, new_sid),
-                            );
-                        }
-                        // The peer leader is unreachable directly — exotic
-                        // geometry, or a chaos crash mid-flight: modelled
-                        // as multi-hop (same as the legacy path) — the
-                        // notice reaches the cell, at one message's cost.
-                        Some(DeliveryOutcome::PeerDown) => {
-                            net.stats.protocol_sent += 1;
-                            net.stats.total_sent += 1;
-                            cfg.invariants.check_ledger(
-                                nc as u64,
-                                new_sid as u64,
-                                true,
-                                knowledge.knows(nc, new_sid),
-                            );
-                        }
-                        // Retry budget exhausted (or unflushed, which
-                        // cannot happen): the cell never hears of the
-                        // sensor.
-                        _ => {
-                            knowledge.hide(nc, new_sid);
-                            cfg.invariants.check_ledger(
-                                nc as u64,
-                                new_sid as u64,
-                                false,
-                                knowledge.knows(nc, new_sid),
-                            );
-                        }
+            // Under chaos the flush interleaves fault injection with the
+            // retry clock, so crashes land between retransmissions.
+            match chaos.as_mut() {
+                Some(ch) => transport.flush_chaos_into(&mut net, ch, flushed),
+                None => transport.flush_into(&mut net, flushed),
+            }
+            // Ids are unique, so a sorted slice answers the outcome lookups.
+            flushed.sort_unstable_by_key(|&(id, _)| id);
+            for &(id, nc, new_sid) in pending.iter() {
+                let outcome = flushed
+                    .binary_search_by_key(&id, |&(i, _)| i)
+                    .ok()
+                    .map(|ix| &flushed[ix].1);
+                match outcome {
+                    Some(DeliveryOutcome::Delivered { .. }) => {
+                        cfg.invariants.check_ledger(
+                            nc as u64,
+                            new_sid as u64,
+                            true,
+                            knowledge.knows(nc, new_sid),
+                        );
+                    }
+                    // The peer leader is unreachable directly — exotic
+                    // geometry, or a chaos crash mid-flight: modelled as
+                    // multi-hop — the notice reaches the cell, at one
+                    // message's cost.
+                    Some(DeliveryOutcome::PeerDown) => {
+                        net.stats.protocol_sent += 1;
+                        net.stats.total_sent += 1;
+                        cfg.invariants.check_ledger(
+                            nc as u64,
+                            new_sid as u64,
+                            true,
+                            knowledge.knows(nc, new_sid),
+                        );
+                    }
+                    // Retry budget exhausted (or unflushed, which cannot
+                    // happen): the cell never hears of the sensor.
+                    _ => {
+                        knowledge.hide(nc, new_sid);
+                        cfg.invariants.check_ledger(
+                            nc as u64,
+                            new_sid as u64,
+                            false,
+                            knowledge.knows(nc, new_sid),
+                        );
                     }
                 }
-                // Crashes that fired during the flush retire their sensors
-                // before the round closes.
-                if let Some(ch) = chaos.as_mut() {
-                    retire_crashed(
-                        ch.take_crashed(),
-                        map,
-                        &mut cells,
-                        &net,
-                        sid_of,
-                        &cfg.invariants,
-                    );
-                }
+            }
+            // Crashes that fired during the flush retire their sensors
+            // before the round closes.
+            if let Some(ch) = chaos.as_mut() {
+                retire_crashed(
+                    ch.take_crashed(),
+                    map,
+                    &mut cells,
+                    &net,
+                    sid_of,
+                    &cfg.invariants,
+                );
             }
 
-            if let Some(tr) = transport.as_ref() {
-                cfg.trace.set_time(tr.now());
-            }
+            cfg.trace.set_time(transport.now());
             cfg.trace.emit(TraceEvent::RoundEnd {
                 round,
                 placed: (out.placed.len() - placed_before_round) as u64,
@@ -884,30 +688,19 @@ impl GridDecor {
         );
         let populated = cells.members.iter().filter(|m| !m.is_empty()).count();
         let total_members: usize = cells.members.iter().map(Vec::len).sum();
-        let (retries, acks, notices_gave_up, duplicates_suppressed) = match &transport {
-            Some(tr) => (
-                tr.stats.retries,
-                tr.stats.acks,
-                tr.stats.gave_up,
-                tr.stats.duplicates_suppressed,
-            ),
-            None => (0, 0, 0, 0),
-        };
         out.messages = MessageStats {
             protocol_total: net.stats.protocol_sent,
             cells: populated.max(1),
             per_cell: net.stats.protocol_sent as f64 / populated.max(1) as f64,
             per_node_rotated: net.stats.protocol_sent as f64 / total_members.max(1) as f64,
-            retries,
-            acks,
-            notices_gave_up,
-            duplicates_suppressed,
+            retries: transport.stats.retries,
+            acks: transport.stats.acks,
+            notices_gave_up: transport.stats.gave_up,
+            duplicates_suppressed: transport.stats.duplicates_suppressed,
         };
         *cells_pool = Some(cells);
         *net_pool = Some(net);
-        if let Some(t) = transport {
-            *transport_pool = Some(t);
-        }
+        *transport_pool = Some(transport);
         out
     }
 }
@@ -1027,77 +820,6 @@ mod tests {
         let out = GridDecor { cell_size: 5.0 }.place(&mut map, &cfg);
         assert!(out.placed.len() <= 7);
         assert!(!out.fully_covered);
-    }
-
-    #[test]
-    fn engine_path_matches_direct_scan_path() {
-        // The cells-mode engine must reproduce the direct per-cell scan
-        // bit-for-bit: same placements, rounds, and message counts.
-        for (k, initial, cell) in [(1u32, 0usize, 5.0), (2, 50, 5.0), (3, 80, 10.0)] {
-            let (mut m_engine, cfg) = setup(k, 600, initial, 11);
-            let mut m_direct = m_engine.clone();
-            let placer = GridDecor { cell_size: cell };
-            let a = placer.place_impl(&mut m_engine, &cfg, true, true, &mut SimScratch::new());
-            let b = placer.place_impl(&mut m_direct, &cfg, false, true, &mut SimScratch::new());
-            assert_eq!(a.placed, b.placed, "k={k} initial={initial} cell={cell}");
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.messages.protocol_total, b.messages.protocol_total);
-        }
-    }
-
-    #[test]
-    fn restoration_engine_path_matches_direct_scan_path() {
-        // Restoration shape: a pre-covered field with a damage hole. The
-        // engine path builds shards only over the hole's cells; the
-        // direct path scans everything. Placements must stay identical.
-        let cfg = DeploymentConfig::with_k(2);
-        let field = Aabb::square(100.0);
-        let mut map = CoverageMap::new(halton_points(800, &field), &field, &cfg);
-        let mut ids = Vec::new();
-        for i in 0..20 {
-            for j in 0..20 {
-                ids.push(map.add_sensor(
-                    Point::new(2.5 + 5.0 * i as f64, 2.5 + 5.0 * j as f64),
-                    cfg.rs,
-                ));
-            }
-        }
-        let hole = Point::new(35.0, 65.0);
-        for &id in &ids {
-            if map.sensor_pos(id).dist(hole) <= 15.0 {
-                map.deactivate_sensor(id);
-            }
-        }
-        assert!(map.count_below(cfg.k) > 0);
-        let mut m_direct = map.clone();
-        let placer = GridDecor { cell_size: 5.0 };
-        let a = placer.place_impl(&mut map, &cfg, true, true, &mut SimScratch::new());
-        let b = placer.place_impl(&mut m_direct, &cfg, false, true, &mut SimScratch::new());
-        assert_eq!(a.placed, b.placed);
-        assert_eq!(a.rounds, b.rounds);
-        assert!(a.fully_covered);
-        map.verify_consistency();
-    }
-
-    #[test]
-    fn transport_path_matches_legacy_at_zero_loss() {
-        // On a loss-free medium the reliable transport must not change a
-        // single placement decision; only the accounting gains ack frames.
-        for (k, initial, cell) in [(1u32, 30usize, 5.0), (2, 60, 10.0)] {
-            let (mut m_tr, cfg) = setup(k, 500, initial, 15);
-            let mut m_legacy = m_tr.clone();
-            let placer = GridDecor { cell_size: cell };
-            let a = placer.place_impl(&mut m_tr, &cfg, true, true, &mut SimScratch::new());
-            let b = placer.place_impl(&mut m_legacy, &cfg, true, false, &mut SimScratch::new());
-            assert_eq!(a.placed, b.placed, "k={k} cell={cell}");
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.messages.retries, 0, "no loss, no retries");
-            assert_eq!(a.messages.notices_gave_up, 0);
-            assert!(a.messages.acks > 0);
-            assert!(a.messages.protocol_total > b.messages.protocol_total);
-        }
     }
 
     #[test]

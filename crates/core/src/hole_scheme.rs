@@ -183,7 +183,7 @@ impl Placer for HoleHealing {
                     };
                     ShardedBenefitEngine::global(map, cands, cfg.rs, cfg.k)
                 });
-                let Some((_, _, pos, _)) = eng.best(map) else {
+                let Some((_, _, pos, _)) = eng.best() else {
                     // A deficient point is its own positive-benefit
                     // candidate, so this is unreachable while deficit
                     // remains; bail rather than spin if it ever isn't.

@@ -5,14 +5,7 @@
 //! threads — one per replica up to the hardware parallelism — with
 //! deterministic per-replica seeds derived by splitmix64, guaranteeing
 //! sequential and parallel execution produce identical results.
-//!
-//! [`par_best_candidate`] additionally parallelizes the inner benefit
-//! argmax scan; it exists for the ablation benches (the incremental
-//! [`crate::BenefitTable`] usually beats brute-force parallelism, which is
-//! the point the ablation makes).
 
-use crate::benefit::benefit_at;
-use crate::coverage::CoverageMap;
 use decor_lds::vdc::splitmix64;
 
 /// Derives the seed for replica `i` from a base seed.
@@ -113,59 +106,9 @@ where
         .collect()
 }
 
-/// Parallel argmax of the benefit function over candidate point ids.
-///
-/// Returns `(point_id, benefit)` of the best candidate with positive
-/// benefit (ties to the lowest id — same contract as
-/// [`crate::BenefitTable::best`]), or `None` when all benefits are zero.
-pub fn par_best_candidate(
-    map: &CoverageMap,
-    cands: &[usize],
-    rs: f64,
-    k: u32,
-) -> Option<(usize, u64)> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(cands.len().max(1));
-    if threads <= 1 || cands.len() < 256 {
-        return best_in_slice(map, cands, rs, k);
-    }
-    let chunk = cands.len().div_ceil(threads);
-    let best = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for part in cands.chunks(chunk) {
-            handles.push(scope.spawn(move |_| best_in_slice(map, part, rs, k)));
-        }
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("benefit scan panicked"))
-            .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))
-    })
-    .expect("scope failed");
-    best
-}
-
-fn best_in_slice(map: &CoverageMap, cands: &[usize], rs: f64, k: u32) -> Option<(usize, u64)> {
-    let mut best: Option<(usize, u64)> = None;
-    for &pid in cands {
-        let b = benefit_at(map, map.points()[pid], rs, k);
-        if b > 0 {
-            match best {
-                Some((bp, bb)) if bb > b || (bb == b && bp < pid) => {}
-                _ => best = Some((pid, b)),
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DeploymentConfig;
-    use decor_geom::Aabb;
-    use decor_lds::halton_points;
 
     #[test]
     fn replica_seeds_are_distinct_and_stable() {
@@ -244,43 +187,5 @@ mod tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i * i);
         }
-    }
-
-    #[test]
-    fn par_best_matches_sequential_table() {
-        use crate::benefit::BenefitTable;
-        let field = Aabb::square(100.0);
-        let cfg = DeploymentConfig::with_k(2);
-        let mut map = CoverageMap::new(halton_points(600, &field), &field, &cfg);
-        // A few sensors to create variation.
-        for i in 0..10 {
-            map.add_sensor(decor_geom::Point::new(10.0 * i as f64 + 5.0, 40.0), cfg.rs);
-        }
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        let table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
-        let (slot, pid, _, b) = table.best().unwrap();
-        assert_eq!(slot, pid);
-        let par = par_best_candidate(&map, &cands, cfg.rs, cfg.k).unwrap();
-        assert_eq!(par, (pid, b));
-    }
-
-    #[test]
-    fn par_best_none_when_covered() {
-        let field = Aabb::square(100.0);
-        let cfg = DeploymentConfig::with_k(1);
-        let mut map = CoverageMap::new(halton_points(300, &field), &field, &cfg);
-        map.add_sensor(decor_geom::Point::new(50.0, 50.0), 200.0);
-        let cands: Vec<usize> = (0..map.n_points()).collect();
-        assert!(par_best_candidate(&map, &cands, cfg.rs, cfg.k).is_none());
-    }
-
-    #[test]
-    fn small_candidate_sets_use_sequential_path() {
-        let field = Aabb::square(100.0);
-        let cfg = DeploymentConfig::with_k(1);
-        let map = CoverageMap::new(halton_points(100, &field), &field, &cfg);
-        let cands = vec![5usize, 10, 20];
-        let best = par_best_candidate(&map, &cands, cfg.rs, cfg.k).unwrap();
-        assert!(cands.contains(&best.0));
     }
 }

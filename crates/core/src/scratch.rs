@@ -18,7 +18,7 @@ use decor_net::{Network, Transport};
 /// the capacity. Safe to share across different schemes, field sizes
 /// and configs — each placer fully re-initializes what it uses.
 pub struct SimScratch {
-    /// Benefit engine, rebuilt per run via `reset_global`/`reset_cells`.
+    /// Benefit engine, rebuilt per run via `reset_global`.
     pub engine: ShardedBenefitEngine,
     /// Candidate point-id buffer (swapped into the engine and back).
     pub cands: Vec<usize>,

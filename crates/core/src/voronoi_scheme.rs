@@ -24,13 +24,20 @@
 //! neighborhood size, i.e. with `rc` — the paper's "analogous to the
 //! communication radius" observation.
 //!
-//! On a lossy medium (`cfg.link.loss_rate > 0`) notices ride the reliable
-//! transport (`decor_net::transport`): acks, bounded retries, duplicate
-//! suppression. A notice whose retry budget runs out leaves the intended
-//! recipient blind to the new sensor ([`crate::NeighborKnowledge`]) — it
-//! may then place a redundant border sensor, which is exactly the paper's
-//! desynchronization failure mode, bounded here by the transport instead
-//! of silent.
+//! Notices ride the reliable transport (`decor_net::transport`): acks,
+//! bounded retries, duplicate suppression. On a lossy medium a notice
+//! whose retry budget runs out leaves the intended recipient blind to the
+//! new sensor ([`crate::NeighborKnowledge`]) — it may then place a
+//! redundant border sensor, which is exactly the paper's desynchronization
+//! failure mode, bounded here by the transport instead of silent.
+//!
+//! Rounds cache each point's owner set. The set depends only on the
+//! active sensors within `rc` of the point and on those sensors' ledger
+//! rows, so a placement or a chaos crash invalidates the `rc`-disk around
+//! the sensor that appeared or died. A given-up notice needs no rule of
+//! its own: it hides the sensor placed this round, and only points within
+//! `rc` of that sensor can read the hidden entry — the placement already
+//! marked them.
 
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
@@ -218,20 +225,44 @@ pub(crate) struct VoronoiScratch {
     deficient: Vec<usize>,
 }
 
+/// Marks every point within `r` of `c` for an ownership recompute at the
+/// next decision phase (`owners_dirty` dedups the `dirty` worklist).
+fn invalidate_disk(
+    map: &CoverageMap,
+    c: decor_geom::Point,
+    r: f64,
+    owners_dirty: &mut [bool],
+    dirty: &mut Vec<usize>,
+) {
+    map.for_each_point_within_unordered(c, r, |pid, _| {
+        if !owners_dirty[pid] {
+            owners_dirty[pid] = true;
+            dirty.push(pid);
+        }
+    });
+}
+
 /// Retires chaos-crashed nodes from the Voronoi placer's world: the
 /// coverage map deactivates the sensor (a dead agent neither covers nor
-/// owns points — map queries only visit active sensors) and the invariant
-/// checker learns the death. The ownership cache needs no surgical
-/// invalidation because chaos runs disable it (see `place_impl`).
+/// owns points — map queries only visit active sensors), the ownership
+/// cache drops every point the dead sensor could own or cover, and the
+/// invariant checker learns the death.
 fn retire_crashed(
     crashed: Vec<NodeId>,
     map: &mut CoverageMap,
     sid_of: &[usize],
+    rc: f64,
+    owners_dirty: &mut [bool],
+    dirty: &mut Vec<usize>,
     checker: &crate::invariants::InvariantChecker,
 ) {
     for nid in crashed {
         checker.note_crash(nid as u64);
-        map.deactivate_sensor(sid_of[nid]);
+        let sid = sid_of[nid];
+        map.deactivate_sensor(sid);
+        // A sensor sensing beyond `rc` also covers points farther out.
+        let reach = rc.max(map.sensor_rs(sid));
+        invalidate_disk(map, map.sensor_pos(sid), reach, owners_dirty, dirty);
     }
 }
 
@@ -241,7 +272,7 @@ impl Placer for VoronoiDecor {
     }
 
     fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        self.place_impl(map, cfg, true, true, &mut SimScratch::new())
+        self.place_in(map, cfg, &mut SimScratch::new())
     }
 
     fn place_in(
@@ -250,27 +281,21 @@ impl Placer for VoronoiDecor {
         cfg: &DeploymentConfig,
         scratch: &mut SimScratch,
     ) -> PlacementOutcome {
-        self.place_impl(map, cfg, true, true, scratch)
+        self.place_impl(map, cfg, scratch, false)
     }
 }
 
 impl VoronoiDecor {
-    /// Implementation behind [`Placer::place`]. With `use_cache` the
-    /// per-point ownership results are reused across rounds and only the
-    /// `rc`-disk of each new placement is recomputed (production); without
-    /// it every point is recomputed every round (reference). With
-    /// `use_transport` placement notices ride the reliable ack/retry
-    /// transport (production); without it they are fire-and-forget
-    /// unicasts (the pre-transport reference, valid only on a loss-free
-    /// medium). Differential tests below pin the paths to identical
-    /// placements.
+    /// Implementation behind [`Placer::place_in`]. Production reuses the
+    /// per-point ownership cache across rounds; `recompute_all` recomputes
+    /// every point every round instead, the oracle the differential tests
+    /// below pin the cache against.
     fn place_impl(
         &self,
         map: &mut CoverageMap,
         cfg: &DeploymentConfig,
-        use_cache: bool,
-        use_transport: bool,
         pool: &mut SimScratch,
+        recompute_all: bool,
     ) -> PlacementOutcome {
         cfg.validate();
         let rc = self.rc;
@@ -279,12 +304,6 @@ impl VoronoiDecor {
             "Voronoi scheme needs rc >= rs (got rc={rc}, rs={})",
             cfg.rs
         );
-        let lossy = cfg.link.is_lossy();
-        // The ownership cache assumes estimates depend only on geometry;
-        // under loss they also depend on the evolving knowledge ledger,
-        // and under chaos crashes retire sensors mid-run, so fall back to
-        // full recomputation.
-        let use_cache = use_cache && !lossy && cfg.chaos.is_none();
         let field = *map.field();
         // Pooled network/transport: a warm pool hands back last run's
         // structures, reset to the same state a fresh construction yields.
@@ -297,24 +316,14 @@ impl VoronoiDecor {
         };
         cfg.link.apply(&mut net);
         net.set_trace(cfg.trace.clone());
-        let mut transport = if use_transport {
-            Some(match pool.transport.take() {
-                Some(mut t) => {
-                    t.reset(cfg.link.transport());
-                    t
-                }
-                None => Transport::new(cfg.link.transport()),
-            })
-        } else {
-            None
+        let mut transport = match pool.transport.take() {
+            Some(mut t) => {
+                t.reset(cfg.link.transport());
+                t
+            }
+            None => Transport::new(cfg.link.transport()),
         };
-        // Chaos rides the transport clock, so the fire-and-forget
-        // reference path ignores any configured plan (differential tests
-        // never combine the two).
-        let mut chaos = match (&transport, &cfg.chaos) {
-            (Some(_), Some(plan)) => Some(ChaosEngine::borrowed(plan)),
-            _ => None,
-        };
+        let mut chaos = cfg.chaos.as_ref().map(ChaosEngine::borrowed);
         let mut knowledge = NeighborKnowledge::new();
         // Pooled round-loop buffers, destructured into disjoint `&mut`s so
         // the borrow checker accepts simultaneous use across the loop.
@@ -362,11 +371,12 @@ impl VoronoiDecor {
         let rc_sq = rc * rc;
         // Per-point ownership cache: `owners[pid]` is the last computed
         // [`Self::point_owners_into`] result; an entry goes stale only when
-        // a sensor lands within `rc` of the point. Stale entries sit on the
-        // `dirty` worklist (with `owners_dirty` as the dedup guard) so a
-        // round's recompute cost is proportional to the disturbed area,
-        // not the field; `active` tracks the points with any owner at all,
-        // which is what the decision phase actually iterates.
+        // a sensor within `rc` of the point appears or dies (see the module
+        // docs). Stale entries sit on the `dirty` worklist (with
+        // `owners_dirty` as the dedup guard) so a round's recompute cost is
+        // proportional to the disturbed area, not the field; `active`
+        // tracks the points with any owner at all, which is what the
+        // decision phase actually iterates.
         for o in owners.iter_mut() {
             o.clear();
         }
@@ -381,13 +391,19 @@ impl VoronoiDecor {
         while out.placed.len() < cfg.max_new_nodes && rounds < MAX_ROUNDS {
             let round = rounds as u64;
             // Faults due by now land before any decision of this round.
-            if let (Some(ch), Some(tr)) = (chaos.as_mut(), transport.as_ref()) {
-                ch.advance_to(&mut net, tr.now());
-                retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants);
+            if let Some(ch) = chaos.as_mut() {
+                ch.advance_to(&mut net, transport.now());
+                retire_crashed(
+                    ch.take_crashed(),
+                    map,
+                    sid_of,
+                    rc,
+                    owners_dirty,
+                    dirty,
+                    &cfg.invariants,
+                );
             }
-            if let Some(tr) = transport.as_ref() {
-                cfg.trace.set_time(tr.now());
-            }
+            cfg.trace.set_time(transport.now());
             cfg.trace.emit(TraceEvent::RoundBegin {
                 scheme: "voronoi",
                 round,
@@ -395,7 +411,7 @@ impl VoronoiDecor {
             // ---- Decision phase (coverage snapshot at round start) ----
             // For every point, find the agents that (a) believe it is
             // under-covered and (b) own it under their local view.
-            if !use_cache {
+            if recompute_all {
                 dirty.clear();
                 dirty.extend(0..map.n_points());
                 owners_dirty.iter_mut().for_each(|d| *d = true);
@@ -479,7 +495,15 @@ impl VoronoiDecor {
                     // the next batch and keep the protocol running.
                     if let Some(ch) = chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
                         ch.advance_next_batch(&mut net);
-                        retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants);
+                        retire_crashed(
+                            ch.take_crashed(),
+                            map,
+                            sid_of,
+                            rc,
+                            owners_dirty,
+                            dirty,
+                            &cfg.invariants,
+                        );
                         cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 0 });
                         cfg.trace.emit(TraceEvent::CoverageDelta {
                             below_target: map.count_below(cfg.k) as u64,
@@ -509,12 +533,7 @@ impl VoronoiDecor {
                     .expect("non-empty deficient set");
                 let pos = map.points()[target];
                 let sid = map.add_sensor(pos, cfg.rs);
-                map.for_each_point_within_unordered(pos, rc, |pid, _| {
-                    if !owners_dirty[pid] {
-                        owners_dirty[pid] = true;
-                        dirty.push(pid);
-                    }
-                });
+                invalidate_disk(map, pos, rc, owners_dirty, dirty);
                 let nid = net.add_node(pos, cfg.rs, rc);
                 debug_assert_eq!(sid, net_of.len());
                 net_of.push(nid);
@@ -556,12 +575,7 @@ impl VoronoiDecor {
                 );
                 let pos = map.points()[pid];
                 let new_sid = map.add_sensor(pos, cfg.rs);
-                map.for_each_point_within_unordered(pos, rc, |qid, _| {
-                    if !owners_dirty[qid] {
-                        owners_dirty[qid] = true;
-                        dirty.push(qid);
-                    }
-                });
+                invalidate_disk(map, pos, rc, owners_dirty, dirty);
                 let new_nid = net.add_node(pos, cfg.rs, rc);
                 debug_assert_eq!(new_sid, net_of.len());
                 net_of.push(new_nid);
@@ -578,58 +592,54 @@ impl VoronoiDecor {
                 // placing agent (traffic grows with rc — Fig. 10).
                 let agent_nid = net_of[agent_sid];
                 net.neighbors_into(agent_nid, nbs_buf);
-                match transport.as_mut() {
-                    Some(tr) => {
-                        for &nb in nbs_buf.iter() {
-                            let id = tr.send(agent_nid, nb, Message::PlacementNotice { pos });
-                            pending.push((id, sid_of[nb], new_sid));
-                        }
-                    }
-                    None => {
-                        for &nb in nbs_buf.iter() {
-                            let _ = net.unicast(agent_nid, nb, Message::PlacementNotice { pos });
-                        }
-                    }
+                for &nb in nbs_buf.iter() {
+                    let id = transport.send(agent_nid, nb, Message::PlacementNotice { pos });
+                    pending.push((id, sid_of[nb], new_sid));
                 }
             }
-            if let Some(tr) = transport.as_mut() {
-                // Under chaos the flush interleaves fault injection with
-                // the retry clock, so crashes land between retransmissions.
-                match chaos.as_mut() {
-                    Some(ch) => tr.flush_chaos_into(&mut net, ch, flushed),
-                    None => tr.flush_into(&mut net, flushed),
+            // Under chaos the flush interleaves fault injection with the
+            // retry clock, so crashes land between retransmissions.
+            match chaos.as_mut() {
+                Some(ch) => transport.flush_chaos_into(&mut net, ch, flushed),
+                None => transport.flush_into(&mut net, flushed),
+            }
+            // Message ids are unique among terminal outcomes, so a sorted
+            // slice + binary search answers the outcome lookups.
+            flushed.sort_unstable_by_key(|&(id, _)| id);
+            for &(id, recipient_sid, new_sid) in pending.iter() {
+                // A GaveUp notice *may* still have arrived (lost acks
+                // only); the sender cannot tell, so the model takes the
+                // pessimistic branch and treats the recipient as blind.
+                let delivered = flushed
+                    .binary_search_by_key(&id, |&(mid, _)| mid)
+                    .is_ok_and(|ix| flushed[ix].1.is_delivered());
+                if !delivered {
+                    // No cache invalidation: the owner sets this entry
+                    // feeds lie within `rc` of `new_sid`, already dirty.
+                    knowledge.hide(recipient_sid, new_sid);
                 }
-                // Message ids are unique among terminal outcomes, so a
-                // sorted slice + binary search replaces the old per-round
-                // `BTreeMap<MsgId, _>` lookup.
-                flushed.sort_unstable_by_key(|&(id, _)| id);
-                for &(id, recipient_sid, new_sid) in pending.iter() {
-                    // A GaveUp notice *may* still have arrived (lost acks
-                    // only); the sender cannot tell, so the model takes the
-                    // pessimistic branch and treats the recipient as blind.
-                    let delivered = flushed
-                        .binary_search_by_key(&id, |&(mid, _)| mid)
-                        .is_ok_and(|ix| flushed[ix].1.is_delivered());
-                    if !delivered {
-                        knowledge.hide(recipient_sid, new_sid);
-                    }
-                    cfg.invariants.check_ledger(
-                        recipient_sid as u64,
-                        new_sid as u64,
-                        delivered,
-                        knowledge.knows(recipient_sid, new_sid),
-                    );
-                }
-                // Crashes that fired during the flush retire their sensors
-                // before the round closes.
-                if let Some(ch) = chaos.as_mut() {
-                    retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants);
-                }
+                cfg.invariants.check_ledger(
+                    recipient_sid as u64,
+                    new_sid as u64,
+                    delivered,
+                    knowledge.knows(recipient_sid, new_sid),
+                );
+            }
+            // Crashes that fired during the flush retire their sensors
+            // before the round closes.
+            if let Some(ch) = chaos.as_mut() {
+                retire_crashed(
+                    ch.take_crashed(),
+                    map,
+                    sid_of,
+                    rc,
+                    owners_dirty,
+                    dirty,
+                    &cfg.invariants,
+                );
             }
 
-            if let Some(tr) = transport.as_ref() {
-                cfg.trace.set_time(tr.now());
-            }
+            cfg.trace.set_time(transport.now());
             cfg.trace.emit(TraceEvent::RoundEnd {
                 round,
                 placed: (out.placed.len() - placed_before_round) as u64,
@@ -648,7 +658,15 @@ impl VoronoiDecor {
                 match chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
                     Some(ch) => {
                         ch.advance_next_batch(&mut net);
-                        retire_crashed(ch.take_crashed(), map, sid_of, &cfg.invariants);
+                        retire_crashed(
+                            ch.take_crashed(),
+                            map,
+                            sid_of,
+                            rc,
+                            owners_dirty,
+                            dirty,
+                            &cfg.invariants,
+                        );
                     }
                     None => break,
                 }
@@ -663,29 +681,18 @@ impl VoronoiDecor {
             out.placed.len() >= cfg.max_new_nodes || rounds >= MAX_ROUNDS,
         );
         let agents = map.n_active_sensors().max(1);
-        let (retries, acks, notices_gave_up, duplicates_suppressed) = match &transport {
-            Some(tr) => (
-                tr.stats.retries,
-                tr.stats.acks,
-                tr.stats.gave_up,
-                tr.stats.duplicates_suppressed,
-            ),
-            None => (0, 0, 0, 0),
-        };
         out.messages = MessageStats {
             protocol_total: net.stats.protocol_sent,
             cells: agents,
             per_cell: net.stats.protocol_sent as f64 / agents as f64,
             per_node_rotated: net.stats.protocol_sent as f64 / agents as f64,
-            retries,
-            acks,
-            notices_gave_up,
-            duplicates_suppressed,
+            retries: transport.stats.retries,
+            acks: transport.stats.acks,
+            notices_gave_up: transport.stats.gave_up,
+            duplicates_suppressed: transport.stats.duplicates_suppressed,
         };
         pool.net = Some(net);
-        if let Some(t) = transport {
-            pool.transport = Some(t);
-        }
+        pool.transport = Some(transport);
         out
     }
 }
@@ -797,48 +804,99 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cached_path_matches_recompute_all_path() {
-        // The per-point ownership cache must reproduce the recompute-
-        // everything-every-round reference bit-for-bit.
-        for (k, initial, rc) in [(1u32, 0usize, 8.0), (2, 50, 8.0), (2, 60, 14.142)] {
-            let (mut m_cached, cfg) = setup(k, 500, initial, 13);
-            let mut m_fresh = m_cached.clone();
-            let placer = VoronoiDecor { rc };
-            let a = placer.place_impl(&mut m_cached, &cfg, true, true, &mut SimScratch::new());
-            let b = placer.place_impl(&mut m_fresh, &cfg, false, true, &mut SimScratch::new());
-            assert_eq!(a.placed, b.placed, "k={k} initial={initial} rc={rc}");
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.messages.protocol_total, b.messages.protocol_total);
-        }
+    /// Runs `placer` with the ownership cache and with the recompute-all
+    /// oracle on copies of `map`, asserts the runs are identical, and
+    /// returns the cached run's outcome plus the crashes it retired.
+    fn assert_cache_exact(
+        placer: VoronoiDecor,
+        map: &CoverageMap,
+        cfg: &DeploymentConfig,
+        label: &str,
+    ) -> (PlacementOutcome, usize) {
+        let run = |recompute_all: bool| {
+            let mut cfg = cfg.clone();
+            cfg.invariants = crate::invariants::InvariantChecker::enabled();
+            let mut m = map.clone();
+            let out = placer.place_impl(&mut m, &cfg, &mut SimScratch::new(), recompute_all);
+            cfg.invariants.assert_green();
+            m.verify_consistency();
+            (out, cfg.invariants.dead().len())
+        };
+        let (a, dead) = run(false);
+        let (b, _) = run(true);
+        assert_eq!(a.placed, b.placed, "{label}");
+        assert_eq!(a.rounds, b.rounds, "{label}");
+        assert_eq!(a.fully_covered, b.fully_covered, "{label}");
+        assert_eq!(
+            a.messages.protocol_total, b.messages.protocol_total,
+            "{label}"
+        );
+        assert_eq!(
+            a.messages.notices_gave_up, b.messages.notices_gave_up,
+            "{label}"
+        );
+        (a, dead)
     }
 
     #[test]
-    fn transport_path_matches_legacy_at_zero_loss() {
-        // On a loss-free medium the reliable transport must not change a
-        // single placement decision: same sensors, same order, same rounds.
-        // Only the accounting differs (every notice now carries an ack).
-        for (k, initial, rc) in [(1u32, 40usize, 8.0), (2, 60, 14.142)] {
-            let (mut m_tr, cfg) = setup(k, 500, initial, 17);
-            let mut m_legacy = m_tr.clone();
+    fn cached_path_matches_recompute_all_path() {
+        // The per-point ownership cache must reproduce the recompute-
+        // everything-every-round oracle bit-for-bit: loss-free, under loss
+        // (given-up notices blind their recipients) and under chaos on a
+        // damaged field (crashes retire sensors mid-run).
+        use decor_net::FaultPlan;
+        for rc in [8.0, 14.142] {
             let placer = VoronoiDecor { rc };
-            let a = placer.place_impl(&mut m_tr, &cfg, true, true, &mut SimScratch::new());
-            let b = placer.place_impl(&mut m_legacy, &cfg, true, false, &mut SimScratch::new());
-            assert_eq!(a.placed, b.placed, "k={k} rc={rc}");
-            assert_eq!(a.rounds, b.rounds);
-            assert_eq!(a.fully_covered, b.fully_covered);
-            assert_eq!(a.messages.retries, 0, "no loss, no retries");
-            assert_eq!(a.messages.notices_gave_up, 0);
-            assert_eq!(
-                a.messages.acks, b.messages.protocol_total,
-                "one ack per legacy notice"
+            for (k, initial) in [(1u32, 0usize), (2, 50), (2, 60)] {
+                let (map, cfg) = setup(k, 500, initial, 13);
+                assert_cache_exact(placer, &map, &cfg, &format!("rc={rc} k={k} i={initial}"));
+            }
+            let mut gave_up = 0;
+            for loss in [0.1, 0.3, 0.5] {
+                let (map, mut cfg) = setup(2, 500, 60, 13);
+                cfg.link = crate::LinkConfig::lossy(loss, 29);
+                let label = format!("rc={rc} loss={loss}");
+                gave_up += assert_cache_exact(placer, &map, &cfg, &label)
+                    .0
+                    .messages
+                    .notices_gave_up;
+            }
+            assert!(gave_up > 0, "rc={rc}: no notice gave up");
+            // Area failure: a doubled sensor lattice (2-covered) with its
+            // center knocked out, restored on a medium lossy enough that
+            // notices give up, under a partition and crashes both during
+            // the restoration and after it converged. The late crashes
+            // (nodes 740 and 750 are sensors the restoration placed) open
+            // new deficits far from any pending placement.
+            let field = Aabb::square(100.0);
+            let mut cfg = DeploymentConfig::with_k(2);
+            cfg.link = crate::LinkConfig::lossy(0.4, 31);
+            let mut map = CoverageMap::new(halton_points(500, &field), &field, &cfg);
+            for _ in 0..2 {
+                for i in 0..20 {
+                    for j in 0..20 {
+                        let p = Point::new(2.5 + 5.0 * i as f64, 2.5 + 5.0 * j as f64);
+                        let sid = map.add_sensor(p, cfg.rs);
+                        if p.dist(Point::new(50.0, 50.0)) <= 15.0 {
+                            map.deactivate_sensor(sid);
+                        }
+                    }
+                }
+            }
+            let plan = "0 crash 40\n\
+                        1 partition 0 1 2 3 4 5 6 7 8 9 10 11 12\n\
+                        2 crash 60\n\
+                        40 heal\n\
+                        100000 crash 740\n\
+                        200000 crash 750\n";
+            cfg.chaos = Some(FaultPlan::parse(plan).unwrap());
+            let (out, dead) = assert_cache_exact(placer, &map, &cfg, &format!("rc={rc} chaos"));
+            assert!(out.fully_covered, "rc={rc}: chaos run must converge");
+            assert!(
+                out.messages.notices_gave_up > 0,
+                "rc={rc}: chaos run lost no notice"
             );
-            assert_eq!(
-                a.messages.protocol_total,
-                2 * b.messages.protocol_total,
-                "transport doubles traffic with acks at zero loss"
-            );
+            assert_eq!(dead, 4, "rc={rc}: every scheduled crash must fire");
         }
     }
 

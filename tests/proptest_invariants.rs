@@ -1,7 +1,7 @@
 //! Property-based tests over the workspace's core invariants, spanning
 //! crates through the facade API.
 
-use decor::core::{benefit_at, BenefitTable, CoverageMap, DeploymentConfig};
+use decor::core::{benefit_at, CoverageMap, DeploymentConfig, ShardedBenefitEngine};
 use decor::geom::{Aabb, GridIndex, Point};
 use decor::lds::{halton_points, radical_inverse, star_discrepancy};
 use proptest::prelude::*;
@@ -57,10 +57,10 @@ proptest! {
         map.verify_consistency(); // recomputes from scratch and compares
     }
 
-    /// The incremental benefit table equals direct evaluation after any
-    /// placement sequence.
+    /// The engine's incrementally maintained benefits equal direct
+    /// evaluation after any placement sequence.
     #[test]
-    fn benefit_table_matches_direct(
+    fn engine_benefits_match_direct(
         placements in prop::collection::vec(any::<prop::sample::Index>(), 1..25),
         k in 1u32..4,
     ) {
@@ -68,16 +68,16 @@ proptest! {
         let cfg = DeploymentConfig { k, ..DeploymentConfig::default() };
         let mut map = CoverageMap::new(halton_points(150, &field), &field, &cfg);
         let cands: Vec<usize> = (0..map.n_points()).collect();
-        let mut table = BenefitTable::new(&map, cands.clone(), cfg.rs, cfg.k);
+        let mut engine = ShardedBenefitEngine::global(&map, cands.clone(), cfg.rs, cfg.k);
         for idx in &placements {
             let pid = idx.index(map.n_points());
             let q = map.points()[pid];
             map.add_sensor(q, cfg.rs);
-            table.on_sensor_added(&map, q, cfg.rs);
+            engine.on_sensor_added(&map, q, cfg.rs);
         }
         for (slot, &pid) in cands.iter().enumerate() {
             prop_assert_eq!(
-                table.benefit(slot),
+                engine.benefit(slot),
                 benefit_at(&map, map.points()[pid], cfg.rs, cfg.k)
             );
         }
