@@ -7,8 +7,8 @@
 //! 4. parallel vs sequential replica execution.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use decor_core::parallel::run_replicas;
 use decor_core::{benefit_at, CentralizedGreedy, CoverageMap, DeploymentConfig, Placer};
+use decor_exp::MatrixRunner;
 use decor_geom::{Aabb, GridIndex, Point};
 use decor_lds::{halton_points, random_points};
 use std::hint::black_box;
@@ -150,8 +150,9 @@ fn bench_replica_parallelism(c: &mut Criterion) {
             black_box(v)
         })
     });
-    g.bench_function("crossbeam_5_replicas", |b| {
-        b.iter(|| black_box(run_replicas(5, 1, |_, seed| work(seed))))
+    g.bench_function("pool_5_replicas", |b| {
+        let runner = MatrixRunner::auto();
+        b.iter(|| black_box(runner.replicas(5, 1, |_, _, seed| work(seed))))
     });
     g.finish();
 }

@@ -19,8 +19,8 @@
 //!   geometry) and reduces over the per-tile maxima instead of all
 //!   candidates.
 //! - **Parallel build.** The initial benefit vector evaluates Equation 1
-//!   once per candidate; large builds fan out over crossbeam scoped
-//!   threads in fixed chunks, so the result does not depend on the
+//!   once per candidate; large builds fan out over scoped threads in
+//!   fixed chunks, so the result does not depend on the
 //!   thread count.
 //!
 //! Tie-breaking contract: maximum benefit, ties to the lowest slot — the
@@ -204,7 +204,7 @@ impl ShardedBenefitEngine {
 }
 
 /// Evaluates `f(0..n)` into `out` (cleared first), fanning chunks out
-/// over crossbeam scoped threads when `n` is large enough to amortize
+/// over scoped threads when `n` is large enough to amortize
 /// thread spawn. Workers write disjoint `chunks_mut` slabs of `out`
 /// directly, so a warm buffer makes the whole evaluation allocation-free;
 /// `f` is deterministic per index, so the result is identical either way.
@@ -223,17 +223,16 @@ where
     }
     out.resize(n, 0);
     let chunk = n.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, slab) in out.chunks_mut(chunk).enumerate() {
             let start = i * chunk;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (j, b) in slab.iter_mut().enumerate() {
                     *b = f(start + j);
                 }
             });
         }
-    })
-    .expect("scope failed");
+    });
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //!
 //! The crate also provides the [`redundancy`] metric of Fig. 9, the
 //! reliability math of §2.1 ([`reliability`]), the failure-restoration
-//! pipeline of §4.2 ([`restore`]), a crossbeam-based parallel replica
-//! runner ([`parallel`]) used to average experiments over seeds, and a
+//! pipeline of §4.2 ([`restore`]), the replica seeding and worker-count
+//! policy ([`parallel`]) the experiment pool averages seeds with, and a
 //! run-time [`invariants`] checker that chaos tests attach to validate
 //! the protocol's safety properties under scripted fault injection.
 

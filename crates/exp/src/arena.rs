@@ -89,15 +89,17 @@ impl WorkerArena {
         self.templates.len()
     }
 
-    fn template_index(&mut self, params: &ExpParams, cfg: &DeploymentConfig) -> usize {
+    /// The empty map for this scenario shape, built on first request.
+    fn template(&mut self, params: &ExpParams, cfg: &DeploymentConfig) -> &CoverageMap {
         let key = TemplateKey::new(params, cfg);
-        if let Some(i) = self.templates.iter().position(|(k, _)| *k == key) {
-            return i;
-        }
-        let field = params.field();
-        let map = CoverageMap::new(halton_points(params.n_points, &field), &field, cfg);
-        self.templates.push((key, map));
-        self.templates.len() - 1
+        let i = match self.templates.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.templates.push((key, empty_map(params, cfg)));
+                self.templates.len() - 1
+            }
+        };
+        &self.templates[i].1
     }
 
     /// Pooled equivalent of [`ExpParams::make_map`]: a coverage map with
@@ -111,14 +113,15 @@ impl WorkerArena {
         initial: usize,
         seed: u64,
     ) -> CoverageMap {
-        let ti = self.template_index(params, cfg);
-        let template = &self.templates[ti].1;
         let mut map = match self.working.take() {
             Some(mut m) => {
-                m.reset_from(template);
+                m.reset_from(self.template(params, cfg));
                 m
             }
-            None => template.clone(),
+            // Nothing recycled yet: build this run's map directly, so a
+            // one-shot arena builds the empty map once and never clones
+            // it. The template is built when a recycled map needs one.
+            None => empty_map(params, cfg),
         };
         let field = params.field();
         random_points_into(initial, &field, seed, &mut self.initial);
@@ -135,17 +138,26 @@ impl WorkerArena {
     }
 }
 
+/// The empty coverage map of a scenario shape: the Halton approximation,
+/// no sensors.
+fn empty_map(params: &ExpParams, cfg: &DeploymentConfig) -> CoverageMap {
+    let field = params.field();
+    CoverageMap::new(halton_points(params.n_points, &field), &field, cfg)
+}
+
 impl Default for WorkerArena {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// Pooled equivalent of [`crate::common::deploy_with`]: same config
-/// construction, same seed mixing, same placer — but the map comes from
-/// the arena and the placer runs through [`decor_core::Placer::place_in`]
-/// with the arena's scratch. The caller must
-/// [`WorkerArena::recycle`] the returned map once done with it.
+/// Deploys `scheme` at coverage requirement `k` on the random field of
+/// `seed`: builds the config (then `customize`s it), takes the map from
+/// the arena, and runs the placer through
+/// [`decor_core::Placer::place_in`] with the arena's scratch. This is the
+/// one deploy path; [`crate::common::deploy_with`] runs it on a fresh
+/// arena. Hand the returned map back with [`WorkerArena::recycle`] once
+/// done with it, so the next deploy reuses its storage.
 pub fn deploy_with_in(
     params: &ExpParams,
     scheme: SchemeKind,

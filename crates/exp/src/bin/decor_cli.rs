@@ -1,5 +1,5 @@
-//! `decor-cli` — deploy, restore and diagnose sensor fields from the
-//! command line.
+//! `decor-cli` — deploy, restore, diagnose and endure sensor fields from
+//! the command line. Each subcommand rejects flags it does not read.
 //!
 //! ```text
 //! decor-cli deploy   --scheme grid-small --k 3 [--points 2000] [--initial 200]
@@ -7,7 +7,8 @@
 //!                    [--trace-out trace.jsonl]
 //!                    [--chaos-seed 7 | --chaos-plan plan.txt]
 //! decor-cli restore  --scheme voronoi-big --k 2 --disaster 50,50,24 [--seed 1] ...
-//! decor-cli diagnose --in sensors.csv --k 3 [--points 2000] ...
+//! decor-cli diagnose --in sensors.csv --k 3 [--points 2000] [--rs 4] [--rc 8]
+//!                    [--field 100]
 //! decor-cli endure   --scheme centralized --k 3 [--rotate 1] [--always-on 1]
 //!                    [--battery 2000] [--awake-cost 1] [--sleep-cost 0.02]
 //!                    [--shift-period 1000] [--spares 0] [--max-periods 100000]
@@ -178,9 +179,7 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!(
-            "unknown subcommand '{other}' (deploy | restore | diagnose | endure)"
-        )),
+        other => unreachable!("parse_args admits no subcommand '{other}'"),
     }
 }
 

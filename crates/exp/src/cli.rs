@@ -19,24 +19,78 @@ pub struct CliArgs {
     pub flags: BTreeMap<String, String>,
 }
 
+/// The subcommands, as usage text.
+const SUBCOMMANDS: &str = "deploy | restore | diagnose | endure";
+
+/// The scenario flags [`params_from`] reads for every subcommand that
+/// runs a placer.
+const SCENARIO_FLAGS: [&str; 15] = [
+    "field",
+    "points",
+    "initial",
+    "seed",
+    "rs",
+    "rc",
+    "k",
+    "max-nodes",
+    "loss",
+    "loss-seed",
+    "max-retries",
+    "backoff",
+    "trace-out",
+    "chaos-seed",
+    "chaos-plan",
+];
+
+/// The flags `command` reads; an unknown subcommand is an error.
+fn accepted_flags(command: &str) -> Result<Vec<&'static str>, String> {
+    let own: &[&str] = match command {
+        "deploy" => &["scheme", "out"],
+        "restore" => &["scheme", "disaster", "out"],
+        // Diagnosis rebuilds the map from a file and runs no placer.
+        "diagnose" => return Ok(vec!["in", "field", "points", "rs", "rc", "k"]),
+        "endure" => &[
+            "scheme",
+            "always-on",
+            "spares",
+            "max-periods",
+            "timeout-periods",
+            "disaster",
+            "disaster-at",
+            "rotate",
+            "battery",
+            "awake-cost",
+            "sleep-cost",
+            "shift-period",
+        ],
+        other => return Err(format!("unknown subcommand '{other}' ({SUBCOMMANDS})")),
+    };
+    Ok(SCENARIO_FLAGS.iter().chain(own).copied().collect())
+}
+
 /// Parses `args` (without the program name).
 ///
-/// Returns an error string on malformed input (missing subcommand,
-/// dangling flag, flag without `--`).
+/// Returns an error string on malformed input: a missing or unknown
+/// subcommand, a dangling flag, a flag without `--`, or a flag the
+/// subcommand does not read (it would otherwise be silently ignored).
 pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     let mut it = args.iter();
     let command = it
         .next()
-        .ok_or("missing subcommand (deploy | restore | diagnose)")?
+        .ok_or(format!("missing subcommand ({SUBCOMMANDS})"))?
         .clone();
     if command.starts_with("--") {
         return Err(format!("expected a subcommand before {command}"));
     }
+    let accepted = accepted_flags(&command)?;
     let mut flags = BTreeMap::new();
     while let Some(flag) = it.next() {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got {flag}"))?;
+        if !accepted.contains(&name) {
+            return Err(format!("{command} does not accept flag --{name}"));
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -275,6 +329,51 @@ mod tests {
         assert!(parse_args(&argv("deploy --k")).is_err());
         let a = parse_args(&argv("deploy --k x")).unwrap();
         assert!(a.num_or("k", 1u32).is_err());
+    }
+
+    #[test]
+    fn usage_lists_every_subcommand() {
+        let missing = parse_args(&[]).unwrap_err();
+        let unknown = parse_args(&argv("teleport")).unwrap_err();
+        for err in [&missing, &unknown] {
+            for command in ["deploy", "restore", "diagnose", "endure"] {
+                assert!(err.contains(command), "{err}");
+            }
+        }
+        assert!(unknown.contains("'teleport'"), "{unknown}");
+    }
+
+    #[test]
+    fn each_subcommand_rejects_flags_it_does_not_read() {
+        for (line, flag) in [
+            ("endure --bogus 7", "--bogus"),
+            ("deploy --k 2 --disaster 50,50,24", "--disaster"),
+            ("deploy --rotate 1", "--rotate"),
+            ("restore --spares 3", "--spares"),
+            ("diagnose --in s.csv --scheme random", "--scheme"),
+            ("diagnose --in s.csv --chaos-seed 7", "--chaos-seed"),
+            ("endure --out s.csv", "--out"),
+        ] {
+            let err = parse_args(&argv(line)).unwrap_err();
+            let command = line.split_whitespace().next().unwrap();
+            assert!(
+                err.contains(flag) && err.contains(command),
+                "{line} -> {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_subcommand_accepts_the_flags_it_reads() {
+        for line in [
+            "deploy --scheme grid-big --k 1 --chaos-seed 7 --out s.csv --trace-out t.jsonl",
+            "restore --scheme voronoi-big --k 2 --disaster 50,50,24 --loss 20 --out s.csv",
+            "diagnose --in s.csv --k 3 --points 2000 --rs 4 --field 100",
+            "endure --rotate 1 --max-periods 200 --spares 40 --disaster 30,30,4 --disaster-at 5",
+            "endure --always-on 1 --battery 500 --timeout-periods 4 --seed 3",
+        ] {
+            assert!(parse_args(&argv(line)).is_ok(), "{line}");
+        }
     }
 
     #[test]

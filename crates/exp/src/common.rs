@@ -1,12 +1,12 @@
 //! Shared experiment setup: the paper's simulation parameters and helpers
 //! to build fields, initial deployments and algorithm instances.
 
+use crate::arena::{deploy_with_in, WorkerArena};
 use decor_core::{
     CentralizedGreedy, CoverageMap, DeploymentConfig, GridDecor, HoleHealing, LinkConfig, Placer,
     RandomPlacement, SchemeKind, VoronoiDecor,
 };
 use decor_geom::Aabb;
-use decor_lds::{halton_points, random_points};
 
 /// Experiment-scale parameters.
 ///
@@ -88,14 +88,10 @@ impl ExpParams {
     }
 
     /// A fresh coverage map with the Halton approximation and `initial`
-    /// random sensors (the "partially monitored" starting state).
+    /// random sensors (the "partially monitored" starting state):
+    /// [`WorkerArena::make_map`] on a fresh arena.
     pub fn make_map(&self, cfg: &DeploymentConfig, initial: usize, seed: u64) -> CoverageMap {
-        let field = self.field();
-        let mut map = CoverageMap::new(halton_points(self.n_points, &field), &field, cfg);
-        for p in random_points(initial, &field, seed) {
-            map.add_sensor(p, cfg.rs);
-        }
-        map
+        WorkerArena::new().make_map(self, cfg, initial, seed)
     }
 
     /// Instantiates the placer for a scheme. `seed` feeds the random
@@ -133,9 +129,9 @@ pub fn deploy(
 }
 
 /// [`deploy`] with a hook that customizes the [`DeploymentConfig`] before
-/// the map is built — the single code path every caller (figure modules,
-/// the scenario matrix runner, the traced variant) funnels through, which
-/// is what makes the differential tier's bit-identity claims meaningful.
+/// the map is built: [`deploy_with_in`] on a fresh [`WorkerArena`], so
+/// one-off callers and the pooled figure replicas, the scenario matrix
+/// runner and the traced variant all run the same code.
 pub fn deploy_with(
     params: &ExpParams,
     scheme: SchemeKind,
@@ -147,13 +143,7 @@ pub fn deploy_with(
     decor_core::PlacementOutcome,
     DeploymentConfig,
 ) {
-    let mut cfg = DeploymentConfig::with_k(k);
-    cfg.link = params.link(seed);
-    customize(&mut cfg);
-    let mut map = params.make_map(&cfg, params.initial_nodes, seed);
-    let placer = params.placer(scheme, seed ^ 0x9E37);
-    let outcome = placer.place(&mut map, &cfg);
-    (map, outcome, cfg)
+    deploy_with_in(params, scheme, k, seed, customize, &mut WorkerArena::new())
 }
 
 /// [`deploy`] with a JSONL trace sink attached: additionally returns the

@@ -17,11 +17,12 @@
 //!   refill the hole, and replacements are folded into the rotation
 //!   (reschedules > 0 on the rotating arm).
 
-use crate::common::{deploy_with, ExpParams};
+use crate::arena::{deploy_with_in, WorkerArena};
+use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
-use decor_core::{run_endurance, EnduranceConfig, EnduranceReport, SchemeKind};
+use decor_core::{run_endurance, DeploymentConfig, EnduranceConfig, EnduranceReport, SchemeKind};
 use decor_geom::{Disk, Point};
 use decor_lds::vdc::splitmix64;
 use decor_net::{FaultPlan, RotationConfig};
@@ -56,14 +57,20 @@ pub fn disaster_center(params: &ExpParams, seed: u64) -> Point {
 }
 
 /// One replica: runs both arms on identically-built deployments and the
-/// same disaster/chaos script.
-pub fn endurance_pair(params: &ExpParams, seed: u64) -> (EnduranceReport, EnduranceReport) {
-    let arm = |rotate: bool| {
-        let (mut map, _, cfg) = deploy_with(params, SchemeKind::Centralized, K, seed, |cfg| {
+/// same disaster/chaos script, deploying through `arena`.
+pub fn endurance_pair(
+    params: &ExpParams,
+    seed: u64,
+    arena: &mut WorkerArena,
+) -> (EnduranceReport, EnduranceReport) {
+    let mut arm = |rotate: bool| {
+        let customize = |cfg: &mut DeploymentConfig| {
             cfg.rotation = Some(RotationConfig::default());
             // One early crash, scripted on the transport tick clock.
             cfg.chaos = Some(FaultPlan::parse("2000 crash 1\n").expect("literal plan parses"));
-        });
+        };
+        let (mut map, _, cfg) =
+            deploy_with_in(params, SchemeKind::Centralized, K, seed, customize, arena);
         let e = EnduranceConfig {
             rotate,
             spare_budget: SPARES,
@@ -74,7 +81,9 @@ pub fn endurance_pair(params: &ExpParams, seed: u64) -> (EnduranceReport, Endura
             )],
             ..EnduranceConfig::default()
         };
-        run_endurance(&mut map, &decor_core::CentralizedGreedy, &cfg, &e)
+        let report = run_endurance(&mut map, &decor_core::CentralizedGreedy, &cfg, &e);
+        arena.recycle(map);
+        report
     };
     (arm(false), arm(true))
 }
@@ -98,9 +107,10 @@ pub fn run(params: &ExpParams) -> Table {
             "extra_nodes".into(),
         ],
     );
-    let pairs = run_replicas(params.seeds, params.base_seed ^ 0xE7D, |_, seed| {
-        endurance_pair(params, seed)
-    });
+    let pairs =
+        MatrixRunner::auto().replicas(params.seeds, params.base_seed ^ 0xE7D, |arena, _, seed| {
+            endurance_pair(params, seed, arena)
+        });
     for (rotating, pick) in [
         (
             0.0,
@@ -138,7 +148,7 @@ mod tests {
     #[test]
     fn rotation_outlives_always_on_through_disaster_and_chaos() {
         let params = ExpParams::quick();
-        let (on, rotated) = endurance_pair(&params, params.base_seed);
+        let (on, rotated) = endurance_pair(&params, params.base_seed, &mut WorkerArena::new());
         assert!(rotated.shifts > 1, "k=3 must split into shifts");
         assert_eq!(on.false_positives, 0);
         assert_eq!(rotated.false_positives, 0, "sleepers declared dead");
@@ -158,7 +168,7 @@ mod tests {
     #[test]
     fn spares_heal_the_disaster_into_the_rotation() {
         let params = ExpParams::quick();
-        let (_, rotated) = endurance_pair(&params, params.base_seed);
+        let (_, rotated) = endurance_pair(&params, params.base_seed, &mut WorkerArena::new());
         assert!(rotated.disaster_deaths > 0, "the disc must hit someone");
         assert!(rotated.restorations > 0, "the hole must be healed");
         assert!(rotated.extra_nodes > 0, "healing spends spares");

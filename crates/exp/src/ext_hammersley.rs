@@ -9,9 +9,9 @@
 //! should be small for every algorithm.
 
 use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{CoverageMap, DeploymentConfig, SchemeKind};
 use decor_lds::{random_points, PointSetKind};
 
@@ -54,15 +54,15 @@ pub fn run(params: &ExpParams) -> Table {
     for &k in &KS {
         let mut row = vec![k as f64];
         for scheme in [SchemeKind::Centralized, SchemeKind::GridSmall] {
-            let halton = mean(&run_replicas(
+            let halton = mean(&MatrixRunner::auto().replicas(
                 params.seeds,
                 params.base_seed ^ 0x4A17,
-                |_, seed| nodes_needed(params, PointSetKind::Halton, scheme, k, seed),
+                |_, _, seed| nodes_needed(params, PointSetKind::Halton, scheme, k, seed),
             ));
-            let hammersley = mean(&run_replicas(
+            let hammersley = mean(&MatrixRunner::auto().replicas(
                 params.seeds,
                 params.base_seed ^ 0x4A17,
-                |_, seed| nodes_needed(params, PointSetKind::Hammersley, scheme, k, seed),
+                |_, _, seed| nodes_needed(params, PointSetKind::Hammersley, scheme, k, seed),
             ));
             let diff = (halton - hammersley).abs() / halton * 100.0;
             row.extend([halton, hammersley, diff]);
@@ -82,24 +82,28 @@ mod tests {
         // algorithm: within 10% of each other.
         let params = ExpParams::quick();
         let k = 2;
-        let halton = mean(&run_replicas(params.seeds, 1, |_, seed| {
-            nodes_needed(
-                &params,
-                PointSetKind::Halton,
-                SchemeKind::Centralized,
-                k,
-                seed,
-            )
-        }));
-        let hammersley = mean(&run_replicas(params.seeds, 1, |_, seed| {
-            nodes_needed(
-                &params,
-                PointSetKind::Hammersley,
-                SchemeKind::Centralized,
-                k,
-                seed,
-            )
-        }));
+        let halton = mean(
+            &MatrixRunner::auto().replicas(params.seeds, 1, |_, _, seed| {
+                nodes_needed(
+                    &params,
+                    PointSetKind::Halton,
+                    SchemeKind::Centralized,
+                    k,
+                    seed,
+                )
+            }),
+        );
+        let hammersley = mean(
+            &MatrixRunner::auto().replicas(params.seeds, 1, |_, _, seed| {
+                nodes_needed(
+                    &params,
+                    PointSetKind::Hammersley,
+                    SchemeKind::Centralized,
+                    k,
+                    seed,
+                )
+            }),
+        );
         let diff = (halton - hammersley).abs() / halton;
         assert!(
             diff < 0.10,

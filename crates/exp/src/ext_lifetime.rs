@@ -11,11 +11,12 @@
 //! loss* against the always-on baseline. Expectation: the extension
 //! factor tracks k (each extra layer of coverage becomes another shift).
 
-use crate::common::{deploy_with, ExpParams};
+use crate::arena::{deploy_with_in, WorkerArena};
+use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
-use decor_core::{run_endurance, EnduranceConfig, SchemeKind};
+use decor_core::{run_endurance, DeploymentConfig, EnduranceConfig, SchemeKind};
 use decor_net::RotationConfig;
 
 /// The k values swept.
@@ -25,19 +26,29 @@ pub const KS: [u32; 5] = [1, 2, 3, 4, 5];
 /// this many periods under the default battery.
 pub const MAX_PERIODS: u64 = 5_000;
 
-/// One replica of the lifetime study at coverage requirement `k`:
-/// returns (shifts, rotating lifetime, always-on lifetime, extension).
-pub fn lifetime_sample(params: &ExpParams, k: u32, seed: u64) -> (f64, f64, f64, f64) {
-    let arm = |rotate: bool| {
-        let (mut map, _, cfg) = deploy_with(params, SchemeKind::Centralized, k, seed, |cfg| {
+/// One replica of the lifetime study at coverage requirement `k`,
+/// deploying through `arena`: returns (shifts, rotating lifetime,
+/// always-on lifetime, extension).
+pub fn lifetime_sample(
+    params: &ExpParams,
+    k: u32,
+    seed: u64,
+    arena: &mut WorkerArena,
+) -> (f64, f64, f64, f64) {
+    let mut arm = |rotate: bool| {
+        let rotation = |cfg: &mut DeploymentConfig| {
             cfg.rotation = Some(RotationConfig::default());
-        });
+        };
+        let (mut map, _, cfg) =
+            deploy_with_in(params, SchemeKind::Centralized, k, seed, rotation, arena);
         let e = EnduranceConfig {
             rotate,
             max_periods: MAX_PERIODS,
             ..EnduranceConfig::default()
         };
-        run_endurance(&mut map, &decor_core::CentralizedGreedy, &cfg, &e)
+        let report = run_endurance(&mut map, &decor_core::CentralizedGreedy, &cfg, &e);
+        arena.recycle(map);
+        report
     };
     let on = arm(false);
     let rotated = arm(true);
@@ -66,9 +77,11 @@ pub fn run(params: &ExpParams) -> Table {
         ],
     );
     for &k in &KS {
-        let results = run_replicas(params.seeds, params.base_seed ^ 0x51EE9, |_, seed| {
-            lifetime_sample(params, k, seed)
-        });
+        let results = MatrixRunner::auto().replicas(
+            params.seeds,
+            params.base_seed ^ 0x51EE9,
+            |arena, _, seed| lifetime_sample(params, k, seed, arena),
+        );
         t.push_row(vec![
             k as f64,
             mean(&results.iter().map(|r| r.0).collect::<Vec<_>>()),
@@ -88,9 +101,10 @@ mod tests {
     fn lifetime_extension_grows_with_k() {
         let params = ExpParams::quick();
         let factor = |k: u32| {
-            let results = run_replicas(params.seeds, params.base_seed, |_, seed| {
-                lifetime_sample(&params, k, seed).3
-            });
+            let results =
+                MatrixRunner::auto().replicas(params.seeds, params.base_seed, |arena, _, seed| {
+                    lifetime_sample(&params, k, seed, arena).3
+                });
             mean(&results)
         };
         let f1 = factor(1);
@@ -108,7 +122,8 @@ mod tests {
     #[test]
     fn both_arms_die_inside_the_horizon() {
         let params = ExpParams::quick();
-        let (shifts, rot, on, ext) = lifetime_sample(&params, 3, params.base_seed);
+        let (shifts, rot, on, ext) =
+            lifetime_sample(&params, 3, params.base_seed, &mut WorkerArena::new());
         assert!(shifts > 1.0, "k=3 must split into shifts, got {shifts}");
         assert!(on < MAX_PERIODS as f64, "baseline must actually die");
         assert!(rot < MAX_PERIODS as f64, "rotation must actually die");

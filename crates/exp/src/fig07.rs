@@ -7,10 +7,11 @@
 //! variants follow closely (Voronoi big-rc nearest), random needs several
 //! times more nodes for the same coverage.
 
-use crate::common::{deploy, ExpParams};
+use crate::arena::deploy_with_in;
+use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::{SchemeKind, TracePoint};
 
 /// The coverage requirement of the figure.
@@ -52,10 +53,15 @@ pub fn run(params: &ExpParams) -> Table {
     // series[scheme][x-index] = mean coverage %.
     let mut series: Vec<Vec<f64>> = Vec::new();
     for &scheme in &SchemeKind::ALL {
-        let traces = run_replicas(params.seeds, params.base_seed ^ 0x07, |_, seed| {
-            let (_, out, _) = deploy(params, scheme, K, seed);
-            out.trace
-        });
+        let traces = MatrixRunner::auto().replicas(
+            params.seeds,
+            params.base_seed ^ 0x07,
+            |arena, _, seed| {
+                let (map, out, _) = deploy_with_in(params, scheme, K, seed, |_| {}, arena);
+                arena.recycle(map);
+                out.trace
+            },
+        );
         let per_x: Vec<f64> = xs
             .iter()
             .map(|&x| {

@@ -9,10 +9,11 @@
 //! grows with cell size and that the big cell places "few or no redundant
 //! nodes"); EXPERIMENTS.md records which reading our mechanism matches.
 
-use crate::common::{deploy, ExpParams};
+use crate::arena::deploy_with_in;
+use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::redundancy::redundancy_stats;
 use decor_core::SchemeKind;
 
@@ -28,12 +29,14 @@ pub fn run(params: &ExpParams) -> Table {
     for &k in &KS {
         let mut row = vec![k as f64];
         for &scheme in &SchemeKind::ALL {
-            let fracs = run_replicas(
+            let fracs = MatrixRunner::auto().replicas(
                 params.seeds,
                 params.base_seed ^ (k as u64) << 16,
-                |_, seed| {
-                    let (mut map, _, cfg) = deploy(params, scheme, k, seed);
-                    redundancy_stats(&mut map, cfg.k).1 * 100.0
+                |arena, _, seed| {
+                    let (mut map, _, cfg) = deploy_with_in(params, scheme, k, seed, |_| {}, arena);
+                    let frac = redundancy_stats(&mut map, cfg.k).1 * 100.0;
+                    arena.recycle(map);
+                    frac
                 },
             );
             row.push(mean(&fracs));
@@ -46,16 +49,18 @@ pub fn run(params: &ExpParams) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::deploy;
 
     #[test]
     fn redundancy_orderings_match_paper_shape() {
         let params = ExpParams::quick();
         let k = 2;
         let frac_of = |scheme: SchemeKind| {
-            let fracs = run_replicas(params.seeds, params.base_seed, |_, seed| {
-                let (mut map, _, cfg) = deploy(&params, scheme, k, seed);
-                redundancy_stats(&mut map, cfg.k).1 * 100.0
-            });
+            let fracs =
+                MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, _, seed| {
+                    let (mut map, _, cfg) = deploy(&params, scheme, k, seed);
+                    redundancy_stats(&mut map, cfg.k).1 * 100.0
+                });
             mean(&fracs)
         };
         let central = frac_of(SchemeKind::Centralized);

@@ -7,10 +7,11 @@
 //! carries the per-node numbers under leader rotation (the paper quotes
 //! ≈4 messages/node for the small cell and ≈2 for the big cell).
 
-use crate::common::{deploy, ExpParams};
+use crate::arena::deploy_with_in;
+use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::SchemeKind;
 
 /// The k values swept (paper: 1..=5).
@@ -36,11 +37,12 @@ pub fn run(params: &ExpParams) -> Table {
         let mut row = vec![k as f64];
         let mut rotated = Vec::new();
         for &scheme in &DECOR_SCHEMES {
-            let stats = run_replicas(
+            let stats = MatrixRunner::auto().replicas(
                 params.seeds,
                 params.base_seed ^ (k as u64) << 24,
-                |_, seed| {
-                    let (_, out, _) = deploy(params, scheme, k, seed);
+                |arena, _, seed| {
+                    let (map, out, _) = deploy_with_in(params, scheme, k, seed, |_| {}, arena);
+                    arena.recycle(map);
                     (out.messages.per_cell, out.messages.per_node_rotated)
                 },
             );
@@ -58,16 +60,18 @@ pub fn run(params: &ExpParams) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::deploy;
 
     #[test]
     fn message_shape_matches_paper() {
         let params = ExpParams::quick();
         let k = 2;
         let per_cell = |scheme: SchemeKind| {
-            let stats = run_replicas(params.seeds, params.base_seed, |_, seed| {
-                let (_, out, _) = deploy(&params, scheme, k, seed);
-                out.messages.per_cell
-            });
+            let stats =
+                MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, _, seed| {
+                    let (_, out, _) = deploy(&params, scheme, k, seed);
+                    out.messages.per_cell
+                });
             mean(&stats)
         };
         let gsmall = per_cell(SchemeKind::GridSmall);

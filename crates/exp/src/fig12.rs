@@ -6,10 +6,11 @@
 //! 1-covered. Expected shape: tolerance grows steeply with k (the paper
 //! reports up to 75%); for k ≥ 2 even 30% failures keep 90% 1-coverage.
 
-use crate::common::{deploy, ExpParams};
+use crate::arena::deploy_with_in;
+use crate::common::ExpParams;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::restore::coverage_after_failure;
 use decor_core::SchemeKind;
 use decor_net::FailurePlan;
@@ -62,10 +63,16 @@ pub fn run(params: &ExpParams) -> Table {
     for &k in &KS {
         let mut row = vec![k as f64];
         for &scheme in &SchemeKind::ALL {
-            let tolerated = run_replicas(params.seeds, params.base_seed ^ 0x12, |i, seed| {
-                let (map, _, cfg) = deploy(params, scheme, k, seed);
-                max_tolerated_pct(&map, &cfg, seed ^ (i as u64) << 40) as f64
-            });
+            let tolerated = MatrixRunner::auto().replicas(
+                params.seeds,
+                params.base_seed ^ 0x12,
+                |arena, i, seed| {
+                    let (map, _, cfg) = deploy_with_in(params, scheme, k, seed, |_| {}, arena);
+                    let pct = max_tolerated_pct(&map, &cfg, seed ^ (i as u64) << 40) as f64;
+                    arena.recycle(map);
+                    pct
+                },
+            );
             row.push(mean(&tolerated));
         }
         t.push_row(row);
@@ -76,12 +83,13 @@ pub fn run(params: &ExpParams) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::deploy;
 
     #[test]
     fn tolerance_grows_with_k() {
         let params = ExpParams::quick();
         let tolerance = |k: u32| {
-            let v = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let v = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, _, seed| {
                 let (map, _, cfg) = deploy(&params, SchemeKind::Centralized, k, seed);
                 max_tolerated_pct(&map, &cfg, seed ^ 0xF) as f64
             });

@@ -8,11 +8,12 @@
 //! — expected: random 1500–3000, DECOR 25–50% above the centralized
 //! greedy, Voronoi big-rc the best DECOR variant.
 
-use crate::common::{deploy, ExpParams};
+use crate::arena::deploy_with_in;
+use crate::common::ExpParams;
 use crate::fig05_06::disaster_disk;
+use crate::runner::MatrixRunner;
 use crate::stats::mean;
 use crate::table::Table;
-use decor_core::parallel::run_replicas;
 use decor_core::restore::fail_and_restore;
 use decor_core::SchemeKind;
 use decor_net::FailurePlan;
@@ -40,16 +41,21 @@ pub fn run(params: &ExpParams) -> (Table, Table) {
         let mut row13 = vec![k as f64];
         let mut row14 = vec![k as f64];
         for &scheme in &SchemeKind::ALL {
-            let results = run_replicas(params.seeds, params.base_seed ^ 0x13, |_, seed| {
-                let (mut map, _, cfg) = deploy(params, scheme, k, seed);
-                let placer = params.placer(scheme, seed ^ 0xABCD);
-                let plan = FailurePlan::Area { disk };
-                let report = fail_and_restore(&mut map, placer.as_ref(), &cfg, &plan, None);
-                (
-                    report.coverage_after_failure * 100.0,
-                    report.extra_nodes as f64,
-                )
-            });
+            let results = MatrixRunner::auto().replicas(
+                params.seeds,
+                params.base_seed ^ 0x13,
+                |arena, _, seed| {
+                    let (mut map, _, cfg) = deploy_with_in(params, scheme, k, seed, |_| {}, arena);
+                    let placer = params.placer(scheme, seed ^ 0xABCD);
+                    let plan = FailurePlan::Area { disk };
+                    let report = fail_and_restore(&mut map, placer.as_ref(), &cfg, &plan, None);
+                    arena.recycle(map);
+                    (
+                        report.coverage_after_failure * 100.0,
+                        report.extra_nodes as f64,
+                    )
+                },
+            );
             row13.push(mean(&results.iter().map(|&(c, _)| c).collect::<Vec<_>>()));
             row14.push(mean(&results.iter().map(|&(_, e)| e).collect::<Vec<_>>()));
         }
@@ -62,6 +68,7 @@ pub fn run(params: &ExpParams) -> (Table, Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::deploy;
 
     #[test]
     fn area_failure_hits_all_schemes_equally() {
@@ -71,7 +78,7 @@ mod tests {
         let k = 1;
         let disk = disaster_disk(&params);
         let after = |scheme: SchemeKind| {
-            let v = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let v = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, _, seed| {
                 let (mut map, _, cfg) = deploy(&params, scheme, k, seed);
                 let placer = params.placer(scheme, seed);
                 let plan = FailurePlan::Area { disk };
@@ -107,7 +114,7 @@ mod tests {
         let params = ExpParams::quick();
         let disk = disaster_disk(&params);
         let extra = |scheme: SchemeKind| {
-            let v = run_replicas(params.seeds, params.base_seed, |_, seed| {
+            let v = MatrixRunner::auto().replicas(params.seeds, params.base_seed, |_, _, seed| {
                 let (mut map, _, cfg) = deploy(&params, scheme, 1, seed);
                 let placer = params.placer(scheme, seed ^ 0xEE);
                 let plan = FailurePlan::Area { disk };

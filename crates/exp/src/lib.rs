@@ -3,8 +3,11 @@
 //! One module per figure. Every experiment:
 //! - builds the paper's setup (100×100 field, 2000 Halton points, `rs = 4`,
 //!   up to 200 initial random sensors) via [`common::ExpParams`];
-//! - runs all relevant algorithm configurations over several seeds,
-//!   parallelized with `decor-core::parallel`;
+//! - runs all relevant algorithm configurations over several seeds on
+//!   the one worker pool, [`MatrixRunner`]: fig08 and ext_loss as
+//!   scenario matrices, the rest as closures through
+//!   [`MatrixRunner::replicas`], each replica deploying through its
+//!   worker's [`WorkerArena`];
 //! - returns a [`table::Table`] whose rows are the series the paper plots,
 //!   renderable as an aligned ASCII table or CSV.
 //!

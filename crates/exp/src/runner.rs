@@ -1,11 +1,13 @@
-//! Work-stealing matrix runner with checkpoint journals.
+//! The workspace's worker pool, and checkpoint journals for matrices.
 //!
-//! [`MatrixRunner`] drives a [`ScenarioMatrix`] to completion over a pool
-//! of scoped worker threads, using the same atomic-index stealing as
-//! [`decor_core::parallel::run_replicas_with_threads`]: workers claim run
-//! indices with a `fetch_add`, accumulate `(index, result)` pairs locally,
-//! and the pairs are scattered into their slots after the joins — no
-//! shared lock on the hot path, results identical for every worker count.
+//! [`MatrixRunner`] owns the one work-stealing loop: scoped worker
+//! threads, each with its own [`WorkerArena`], claim job indices with a
+//! `fetch_add`, accumulate `(index, result)` pairs locally, and the pairs
+//! are scattered into their slots after the joins — no shared lock on the
+//! hot path, results identical for every worker count. Two entries feed
+//! it: [`MatrixRunner::run_with`] drives a [`ScenarioMatrix`] (the
+//! `decor-serve` fleet, fig08, ext_loss), and [`MatrixRunner::replicas`]
+//! fans a closure out over a figure's random fields.
 //!
 //! Long matrices checkpoint through a [`CheckpointJournal`]: a header line
 //! pinning the matrix fingerprint followed by one [`RunResult`] JSON line
@@ -14,9 +16,10 @@
 //! skip-map, and the resumed matrix is bit-identical to an uninterrupted
 //! one — `tests/matrix_checkpoint.rs` pins this end to end.
 
-use crate::scenario::{RunResult, ScenarioMatrix};
+use crate::arena::WorkerArena;
+use crate::scenario::{execute_run_in, RunResult, ScenarioMatrix};
 use crate::stats::mean;
-use decor_core::parallel::default_threads;
+use decor_core::parallel::{default_threads, replica_seed};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -30,9 +33,9 @@ pub struct RunnerHooks<'a> {
     /// Called as each run finishes, from worker threads — the streaming
     /// output / journal-append hook. Must be cheap or internally locked.
     pub on_result: Option<&'a (dyn Fn(&RunResult) + Sync)>,
-    /// Execute at most this many runs, then stop claiming work (the
-    /// "process died mid-flight" lever for checkpoint tests). Remaining
-    /// slots stay `None` in the outcome.
+    /// Execute only the first this-many unskipped runs, in expansion
+    /// order (the "process died mid-flight" lever for checkpoint tests).
+    /// Remaining slots stay `None` in the outcome.
     pub stop_after: Option<usize>,
 }
 
@@ -120,86 +123,97 @@ impl MatrixRunner {
         self.run_with(matrix, RunnerHooks::default())
     }
 
-    /// Runs the matrix under [`RunnerHooks`].
+    /// Runs the matrix under [`RunnerHooks`]. Skipped runs are copied
+    /// into the outcome; of the rest, the first `stop_after` in expansion
+    /// order execute on the pool.
     pub fn run_with(&self, matrix: &ScenarioMatrix, hooks: RunnerHooks<'_>) -> MatrixOutcome {
         let runs = matrix.expand();
         let cells = matrix.cells();
-        let n = runs.len();
-        let threads = self.threads.min(n.max(1));
-        let stop_budget = hooks.stop_after.unwrap_or(usize::MAX);
         let t0 = std::time::Instant::now();
-
-        let next = AtomicUsize::new(0);
-        let claimed = AtomicUsize::new(0);
-        let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
-        let mut skipped = 0usize;
-        // Skipped slots are filled up front, outside the pool.
-        for (&i, cached) in &hooks.skip {
-            if i < n {
-                results[i] = Some(cached.clone());
-                skipped += 1;
-            }
-        }
-        let skip = &hooks.skip;
+        let mut results: Vec<Option<RunResult>> = (0..runs.len())
+            .map(|i| hooks.skip.get(&i).cloned())
+            .collect();
+        let mut todo: Vec<usize> = (0..runs.len()).filter(|&i| results[i].is_none()).collect();
+        let skipped = runs.len() - todo.len();
+        todo.truncate(hooks.stop_after.unwrap_or(usize::MAX));
         let on_result = hooks.on_result;
-
-        let mut busy_ns = 0u64;
-        let mut executed = 0usize;
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                handles.push(scope.spawn(|_| {
-                    let mut local: Vec<(usize, RunResult)> = Vec::new();
-                    let mut local_busy = 0u64;
-                    // Each worker owns one arena: after the first run per
-                    // scenario shape, the hot loop reuses its allocations.
-                    let mut arena = crate::arena::WorkerArena::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        if skip.contains_key(&i) {
-                            continue;
-                        }
-                        // Claim an execution permit; past the budget the
-                        // worker retires (the claim is never returned, so
-                        // the cut is exact).
-                        if claimed.fetch_add(1, Ordering::Relaxed) >= stop_budget {
-                            break;
-                        }
-                        let run = runs[i];
-                        let result =
-                            crate::scenario::execute_run_in(&cells[run.cell], &run, &mut arena);
-                        local_busy += result.wall_ns;
-                        if let Some(f) = on_result {
-                            f(&result);
-                        }
-                        local.push((i, result));
-                    }
-                    (local, local_busy)
-                }));
+        let done = self.pool(todo.len(), |arena, j| {
+            let run = runs[todo[j]];
+            let result = execute_run_in(&cells[run.cell], &run, arena);
+            if let Some(f) = on_result {
+                f(&result);
             }
-            for h in handles {
-                let (local, local_busy) = h.join().expect("matrix worker panicked");
-                busy_ns += local_busy;
-                executed += local.len();
-                for (i, out) in local {
-                    debug_assert!(results[i].is_none(), "run {i} computed twice");
-                    results[i] = Some(out);
-                }
-            }
-        })
-        .expect("matrix scope failed");
-
+            result
+        });
+        let busy_ns = done.iter().map(|r| r.wall_ns).sum();
+        for (&i, result) in todo.iter().zip(done) {
+            results[i] = Some(result);
+        }
         MatrixOutcome {
             results,
             wall_ns: t0.elapsed().as_nanos() as u64,
             busy_ns,
-            threads,
-            executed,
+            threads: self.workers(todo.len()),
+            executed: todo.len(),
             skipped,
         }
+    }
+
+    /// Runs `f(arena, replica, replica_seed(base_seed, replica))` for `n`
+    /// replicas and returns the results in replica order — the paper's
+    /// mean-of-5-fields fan-out for the figure modules. `f` must be
+    /// deterministic in its index and seed; the output is then identical
+    /// for every worker count. `arena` is the calling worker's, so a
+    /// replica that deploys through it ([`crate::arena::deploy_with_in`])
+    /// reuses the previous replica's allocations.
+    pub fn replicas<T, F>(&self, n: usize, base_seed: u64, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&mut WorkerArena, usize, u64) -> T + Sync,
+    {
+        self.pool(n, |arena, i| f(arena, i, replica_seed(base_seed, i)))
+    }
+
+    /// Workers the pool spawns for `n` jobs (at least one, for reporting).
+    fn workers(&self, n: usize) -> usize {
+        self.threads.min(n).max(1)
+    }
+
+    /// The worker pool: scoped threads, each owning one [`WorkerArena`],
+    /// claim job indices `0..n` off one atomic counter, keep their
+    /// `(index, result)` pairs locally, and the pairs are scattered into
+    /// index order after the joins — no shared lock on the hot path.
+    fn pool<T, F>(&self, n: usize, job: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&mut WorkerArena, usize) -> T + Sync,
+    {
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut arena = WorkerArena::new();
+            let mut local = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return local;
+                }
+                local.push((i, job(&mut arena, i)));
+            }
+        };
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.workers(n)).map(|_| scope.spawn(work)).collect();
+            for h in handles {
+                for (i, out) in h.join().expect("pool worker panicked") {
+                    debug_assert!(slots[i].is_none(), "job {i} computed twice");
+                    slots[i] = Some(out);
+                }
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| s.expect("every job claimed"))
+            .collect()
     }
 }
 
@@ -464,6 +478,78 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn replicas_match_the_sequential_loop_at_every_worker_count() {
+        let reference: Vec<_> = (0..12).map(|i| (i, replica_seed(11, i))).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let got = MatrixRunner::new(threads).replicas(12, 11, |_, i, seed| (i, seed));
+            assert_eq!(got, reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn zero_replicas_is_empty() {
+        for threads in [1, 2, 3, 8, 64] {
+            let v: Vec<u32> = MatrixRunner::new(threads).replicas(0, 1, |_, _, _| 0);
+            assert!(v.is_empty(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn more_replicas_than_workers_are_all_claimed_once() {
+        for threads in [1, 2, 3, 8, 64] {
+            let v = MatrixRunner::new(threads).replicas(200, 3, |_, i, _| i * i);
+            assert_eq!(
+                v,
+                (0..200).map(|i| i * i).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn replicas_share_their_worker_arena() {
+        let params = ExpParams {
+            n_points: 200,
+            initial_nodes: 10,
+            ..ExpParams::quick()
+        };
+        let templates = MatrixRunner::new(1).replicas(3, 5, |arena, _, seed| {
+            let (map, _, _) = crate::arena::deploy_with_in(
+                &params,
+                SchemeKind::Centralized,
+                1,
+                seed,
+                |_| {},
+                arena,
+            );
+            arena.recycle(map);
+            arena.n_templates()
+        });
+        // The first replica builds its map directly; the second needs the
+        // shape's template to refill the recycled map, the third reuses it.
+        assert_eq!(templates, vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn decor_threads_env_pins_workers_without_changing_results() {
+        // Results are a pure function of (n, base_seed), so every
+        // DECOR_THREADS setting must reproduce the reference exactly.
+        // (Other tests in this binary may race reads of the var; that is
+        // harmless for the same reason.)
+        let reference: Vec<_> = (0..20).map(|i| (i, replica_seed(5, i))).collect();
+        for setting in ["1", "2", "3", "8", "64"] {
+            std::env::set_var("DECOR_THREADS", setting);
+            let runner = MatrixRunner::auto();
+            assert_eq!(runner.threads(), setting.parse::<usize>().unwrap());
+            let got = runner.replicas(20, 5, |_, i, seed| (i, seed));
+            assert_eq!(got, reference, "DECOR_THREADS={setting}");
+        }
+        std::env::remove_var("DECOR_THREADS");
+        let got = MatrixRunner::auto().replicas(20, 5, |_, i, seed| (i, seed));
+        assert_eq!(got, reference);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! values) is a descriptive `Err`, never a panic.
 
 use crate::arena::{deploy_with_in, WorkerArena};
-use crate::common::{deploy_with, ExpParams};
+use crate::common::ExpParams;
 use crate::jsonio::{num, Json};
 use decor_core::parallel::replica_seed;
 use decor_core::{DeploymentConfig, InvariantChecker, LinkConfig, SchemeKind};
@@ -237,19 +237,19 @@ impl ScenarioSpec {
             spec.workload = Workload::parse_spec_name(req_str(w, "workload")?)?;
         }
         if let Some(x) = v.get("k") {
-            spec.k = req_u64(x, "k")? as u32;
+            spec.k = req_int(x, "k")?;
         }
         if let Some(x) = v.get("field_side") {
             spec.field_side = req_f64(x, "field_side")?;
         }
         if let Some(x) = v.get("n_points") {
-            spec.n_points = req_u64(x, "n_points")? as usize;
+            spec.n_points = req_int(x, "n_points")?;
         }
         if let Some(x) = v.get("initial_nodes") {
-            spec.initial_nodes = req_u64(x, "initial_nodes")? as usize;
+            spec.initial_nodes = req_int(x, "initial_nodes")?;
         }
         if let Some(x) = v.get("loss_pct") {
-            spec.loss_pct = req_u64(x, "loss_pct")? as u32;
+            spec.loss_pct = req_int(x, "loss_pct")?;
         }
         if let Some(x) = v.get("fail_frac") {
             spec.fail_frac = req_f64(x, "fail_frac")?;
@@ -261,7 +261,7 @@ impl ScenarioSpec {
             };
         }
         if let Some(x) = v.get("replicas") {
-            spec.replicas = req_u64(x, "replicas")? as usize;
+            spec.replicas = req_int(x, "replicas")?;
         }
         if let Some(x) = v.get("base_seed") {
             spec.base_seed = req_u64(x, "base_seed")?;
@@ -284,6 +284,13 @@ fn req_str<'a>(v: &'a Json, field: &str) -> Result<&'a str, String> {
 fn req_u64(v: &Json, field: &str) -> Result<u64, String> {
     v.as_u64()
         .ok_or_else(|| format!("scenario spec: field '{field}' must be a non-negative integer"))
+}
+
+/// A non-negative integer field that must fit `T`: a value past `T`'s
+/// range is an error naming the field, never a silent truncation.
+fn req_int<T: TryFrom<u64>>(v: &Json, field: &str) -> Result<T, String> {
+    T::try_from(req_u64(v, field)?)
+        .map_err(|_| format!("scenario spec: field '{field}' is out of range"))
 }
 
 fn req_f64(v: &Json, field: &str) -> Result<f64, String> {
@@ -614,28 +621,21 @@ impl RunResult {
 /// constant, re-exported so both paths share it.
 pub const PROBE_PERIOD: u64 = 1_000;
 
-/// Executes one run of `spec` — the single execution path behind the
-/// matrix runner and (through the refactored fig/ext modules) the paper
-/// figures. Deterministic in `(spec, run)`.
+/// Executes one run of `spec` on a fresh [`WorkerArena`]. Deterministic
+/// in `(spec, run)`; see [`execute_run_in`].
 pub fn execute_run(spec: &ScenarioSpec, run: &RunSpec) -> RunResult {
-    execute_run_inner(spec, run, None)
+    execute_run_in(spec, run, &mut WorkerArena::new())
 }
 
-/// [`execute_run`] against a pooled [`WorkerArena`]: the map, the benefit
-/// engine, the simulated radio and the transport come from the arena
-/// instead of the allocator, and go back to it when the run ends. The
-/// result is bit-identical to [`execute_run`] — the `pool_reuse` proptest
+/// Executes one run of `spec` — the single execution path behind the
+/// matrix runner, `decor-serve` and the spec-driven figures. The map,
+/// the benefit engine, the simulated radio and the transport come from
+/// `arena` and go back to it when the run ends, so a warm arena runs
+/// without touching the allocator. The result is bit-identical whatever
+/// the arena served before — the `pool_reuse` proptest
 /// (`crates/exp/tests/pool_reuse.rs`) pins that across interleaved
 /// scenario shapes.
 pub fn execute_run_in(spec: &ScenarioSpec, run: &RunSpec, arena: &mut WorkerArena) -> RunResult {
-    execute_run_inner(spec, run, Some(arena))
-}
-
-fn execute_run_inner(
-    spec: &ScenarioSpec,
-    run: &RunSpec,
-    arena: Option<&mut WorkerArena>,
-) -> RunResult {
     let t0 = std::time::Instant::now();
     let mut result = match spec.workload {
         Workload::Deploy => execute_deploy(spec, run, arena),
@@ -667,32 +667,18 @@ fn customize(spec: &ScenarioSpec, run: &RunSpec) -> impl FnOnce(&mut DeploymentC
     }
 }
 
-fn execute_deploy(
-    spec: &ScenarioSpec,
-    run: &RunSpec,
-    arena: Option<&mut WorkerArena>,
-) -> RunResult {
+fn execute_deploy(spec: &ScenarioSpec, run: &RunSpec, arena: &mut WorkerArena) -> RunResult {
     let params = spec.params();
-    let (coverage, out, cfg) = match arena {
-        Some(arena) => {
-            let (map, out, cfg) = deploy_with_in(
-                &params,
-                spec.scheme,
-                spec.k,
-                run.seed,
-                customize(spec, run),
-                arena,
-            );
-            let coverage = map.fraction_k_covered(cfg.k);
-            arena.recycle(map);
-            (coverage, out, cfg)
-        }
-        None => {
-            let (map, out, cfg) =
-                deploy_with(&params, spec.scheme, spec.k, run.seed, customize(spec, run));
-            (map.fraction_k_covered(cfg.k), out, cfg)
-        }
-    };
+    let (map, out, cfg) = deploy_with_in(
+        &params,
+        spec.scheme,
+        spec.k,
+        run.seed,
+        customize(spec, run),
+        arena,
+    );
+    let coverage = map.fraction_k_covered(cfg.k);
+    arena.recycle(map);
     RunResult {
         cell: run.cell,
         replica: run.replica,
@@ -717,36 +703,23 @@ fn execute_deploy(
 /// the spec's scheme over the same medium. Seed mixing (`^ 0xF0`,
 /// `^ 0x0F`, `^ 0xBEA7`, `^ 0x7A`) matches the legacy module exactly —
 /// the differential tier depends on it.
-fn execute_failure_probe(
-    spec: &ScenarioSpec,
-    run: &RunSpec,
-    mut arena: Option<&mut WorkerArena>,
-) -> RunResult {
+fn execute_failure_probe(spec: &ScenarioSpec, run: &RunSpec, arena: &mut WorkerArena) -> RunResult {
     let params = spec.params();
     let loss = spec.loss_pct;
     let seed = run.seed;
-    let (mut map, _, mut cfg) = match arena.as_deref_mut() {
-        Some(arena) => deploy_with_in(
-            &params,
-            SchemeKind::Centralized,
-            spec.k,
-            seed,
-            customize(spec, run),
-            arena,
-        ),
-        None => deploy_with(
-            &params,
-            SchemeKind::Centralized,
-            spec.k,
-            seed,
-            customize(spec, run),
-        ),
-    };
+    let (mut map, _, mut cfg) = deploy_with_in(
+        &params,
+        SchemeKind::Centralized,
+        spec.k,
+        seed,
+        customize(spec, run),
+        arena,
+    );
     let sensors = map.active_sensors();
     // The probe borrows the arena's pooled radio before the restore
     // placer needs it, and returns it below — `Network::reset` makes the
     // reused instance indistinguishable from a fresh one.
-    let mut net = match arena.as_deref_mut().and_then(|a| a.scratch.net.take()) {
+    let mut net = match arena.scratch.net.take() {
         Some(mut pooled) => {
             pooled.reset(*map.field());
             pooled
@@ -785,19 +758,12 @@ fn execute_failure_probe(
         cfg.link = LinkConfig::lossy(loss as f64 / 100.0, seed ^ 0x7A);
     }
     let placer = params.placer(spec.scheme, seed ^ 0x9E37);
-    let restore = match arena.as_deref_mut() {
-        Some(arena) => {
-            // Hand the probe radio back first so the restore placer
-            // reuses it instead of building a fresh network.
-            arena.scratch.net = Some(net);
-            placer.place_in(&mut map, &cfg, &mut arena.scratch)
-        }
-        None => placer.place(&mut map, &cfg),
-    };
+    // Hand the probe radio back first so the restore placer reuses it
+    // instead of building a fresh network.
+    arena.scratch.net = Some(net);
+    let restore = placer.place_in(&mut map, &cfg, &mut arena.scratch);
     let coverage = map.fraction_k_covered(cfg.k);
-    if let Some(arena) = arena {
-        arena.recycle(map);
-    }
+    arena.recycle(map);
     RunResult {
         cell: run.cell,
         replica: run.replica,
@@ -876,6 +842,14 @@ mod tests {
             (r#"{"scheme":"random","replicas":0}"#, "replicas"),
             (r#"{"scheme":"random","fail_frac":1.5}"#, "fail_frac"),
             (r#"{"scheme":"random","k":"three"}"#, "field 'k'"),
+            (
+                r#"{"scheme":"random","k":4294967297}"#,
+                "field 'k' is out of range",
+            ),
+            (
+                r#"{"scheme":"random","loss_pct":4294967306}"#,
+                "field 'loss_pct' is out of range",
+            ),
             (r#"not json"#, "scenario spec"),
             (r#"[1,2]"#, "expected a JSON object"),
         ] {

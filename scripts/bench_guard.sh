@@ -12,10 +12,7 @@
 #   - BENCH_PR9.json / pr8_throughput — the scenario-matrix runner's
 #     64-run batch against the worker-arena baseline (PR8_RUNS=200
 #     shrinks the ungated saturation phase; the full 10k-run saturation
-#     check runs when the bench is invoked without the cap). BENCH_PR8.json
-#     keeps the pre-arena number of the same batch as a historical
-#     reference; it is not a gate, since its looser baseline is implied
-#     by this one.
+#     check runs when the bench is invoked without the cap).
 #
 # The committed baselines were measured on the reference machine, so the
 # 5% default is meant for local runs per EXPERIMENTS.md; CI sets a
