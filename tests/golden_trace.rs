@@ -139,6 +139,44 @@ fn holes_chaos_20pct_loss_matches_golden() {
     assert_matches_fixture("holes_chaos_loss20.jsonl", &trace);
 }
 
+/// Every round-based placer under one scripted chaos plan on a 20%-loss
+/// link, invariants attached. The late crash at t = 5000 lands after the
+/// field is covered, so each run exercises the "covered, but faults still
+/// pending" forced batch and then restores around the dead sensor.
+#[test]
+fn chaos_late_crash_20pct_loss_matches_golden() {
+    let plan = "0 crash 1\n3 crash 3\n5 latency 2\n5000 crash 0\n";
+    let cases: [(&dyn Placer, &str); 3] = [
+        (
+            &GridDecor { cell_size: 10.0 },
+            "grid_chaos_late_loss20.jsonl",
+        ),
+        (&VoronoiDecor { rc: 8.0 }, "voronoi_chaos_late_loss20.jsonl"),
+        (&HoleHealing, "holes_chaos_late_loss20.jsonl"),
+    ];
+    for (placer, fixture) in cases {
+        let field = Aabb::square(FIELD_SIDE);
+        let mut cfg = DeploymentConfig::with_k(1);
+        cfg.link = LinkConfig::lossy(0.2, 23);
+        cfg.chaos = Some(FaultPlan::parse(plan).unwrap());
+        cfg.invariants = InvariantChecker::enabled();
+        cfg.trace = TraceHandle::jsonl_writer();
+        let mut map = CoverageMap::new(halton_points(N_POINTS, &field), &field, &cfg);
+        for p in random_points(INITIAL_SENSORS, &field, SEED) {
+            map.add_sensor(p, cfg.rs);
+        }
+        let out = placer.place(&mut map, &cfg);
+        assert!(
+            out.fully_covered,
+            "{fixture}: must out-place the fault plan"
+        );
+        assert_eq!(cfg.invariants.dead(), vec![0, 1, 3], "{fixture}");
+        cfg.invariants.assert_green();
+        let trace = cfg.trace.jsonl().expect("JSONL sink attached");
+        assert_matches_fixture(fixture, &trace);
+    }
+}
+
 /// Restoration at 100× the seed field area: a 300×300 field (15k points,
 /// seed density) pre-covered by a sensor lattice, with an area failure
 /// punched at the center. Only the damaged area acts, so the fixture
