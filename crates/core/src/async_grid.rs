@@ -24,6 +24,7 @@ use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
 use crate::grid_scheme::Cells;
 use crate::metrics::{MessageStats, PlacementOutcome, TracePoint};
+use crate::scratch::SimScratch;
 use crate::Placer;
 use decor_geom::Disk;
 use decor_net::{EventQueue, Time};
@@ -117,8 +118,13 @@ impl Placer for AsyncGridDecor {
         )
     }
 
-    fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        cfg.validate();
+    fn place_in(
+        &self,
+        map: &mut CoverageMap,
+        cfg: &DeploymentConfig,
+        _scratch: &mut SimScratch,
+    ) -> PlacementOutcome {
+        self.validate(cfg).unwrap_or_else(|e| panic!("{e}"));
         assert!(self.work_period > 0, "work period must be positive");
         let field = *map.field();
         let mut cells = Cells::new(&field, self.cell_size, map);

@@ -23,17 +23,13 @@ impl Placer for CentralizedGreedy {
         "Centralized".to_owned()
     }
 
-    fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        self.place_in(map, cfg, &mut SimScratch::new())
-    }
-
     fn place_in(
         &self,
         map: &mut CoverageMap,
         cfg: &DeploymentConfig,
         scratch: &mut SimScratch,
     ) -> PlacementOutcome {
-        cfg.validate();
+        self.validate(cfg).unwrap_or_else(|e| panic!("{e}"));
         let initial = map.n_active_sensors();
         // Output-sensitive candidate set: any positive-benefit candidate
         // has a deficient point within `rs`, so it lives in a deficient

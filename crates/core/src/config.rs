@@ -67,14 +67,18 @@ impl LinkConfig {
         }
     }
 
-    /// Validates invariants; [`DeploymentConfig::validate`] calls this.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.loss_rate),
-            "loss rate must be in [0, 1), got {}",
-            self.loss_rate
-        );
-        assert!(self.backoff_base > 0, "backoff base must be positive");
+    /// Checks the knobs; [`DeploymentConfig::validate`] calls this.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..1.0).contains(&self.loss_rate) {
+            return Err(format!(
+                "loss rate must be in [0, 1), got {}",
+                self.loss_rate
+            ));
+        }
+        if self.backoff_base == 0 {
+            return Err("backoff base must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -147,20 +151,29 @@ impl DeploymentConfig {
         }
     }
 
-    /// Validates invariants; placers call this on entry.
-    pub fn validate(&self) {
-        assert!(self.rs > 0.0 && self.rs.is_finite(), "rs must be positive");
-        assert!(
-            self.rc >= self.rs,
-            "paper assumption rs <= rc violated (rs={}, rc={})",
-            self.rs,
-            self.rc
-        );
-        assert!(self.k >= 1, "coverage requirement k must be at least 1");
-        assert!(self.max_new_nodes > 0, "max_new_nodes must be positive");
-        self.link.validate();
-        if let Some(rot) = &self.rotation {
-            rot.validate();
+    /// Checks the config, naming the first rule it breaks. Entry points
+    /// (placers, the coverage map, the restoration and endurance loops)
+    /// panic with that message; front ends report it.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.rs > 0.0 && self.rs.is_finite()) {
+            return Err("rs must be positive".into());
+        }
+        if self.rc < self.rs {
+            return Err(format!(
+                "paper assumption rs <= rc violated (rs={}, rc={})",
+                self.rs, self.rc
+            ));
+        }
+        if self.k < 1 {
+            return Err("coverage requirement k must be at least 1".into());
+        }
+        if self.max_new_nodes == 0 {
+            return Err("max_new_nodes must be positive".into());
+        }
+        self.link.validate()?;
+        match &self.rotation {
+            Some(rot) => rot.validate(),
+            None => Ok(()),
         }
     }
 }
@@ -269,7 +282,7 @@ mod tests {
         assert_eq!(c.rs, 4.0);
         assert_eq!(c.rc, 8.0);
         assert_eq!(c.k, 3);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -280,31 +293,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rs <= rc")]
     fn validate_rejects_rc_below_rs() {
-        DeploymentConfig {
+        let err = DeploymentConfig {
             rs: 4.0,
             rc: 2.0,
             ..DeploymentConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("rs <= rc"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "k must be at least 1")]
     fn validate_rejects_zero_k() {
-        DeploymentConfig {
+        let err = DeploymentConfig {
             k: 0,
             ..DeploymentConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("k must be at least 1"), "{err}");
     }
 
     #[test]
     fn default_link_is_lossless() {
         let link = LinkConfig::default();
         assert!(!link.is_lossy());
-        link.validate();
+        assert_eq!(link.validate(), Ok(()));
         assert_eq!(link.transport(), decor_net::TransportConfig::default());
     }
 
@@ -312,18 +327,19 @@ mod tests {
     fn lossy_link_applies_to_networks() {
         let link = LinkConfig::lossy(0.3, 7);
         assert!(link.is_lossy());
-        link.validate();
+        assert_eq!(link.validate(), Ok(()));
         assert_eq!(link.max_retries, LinkConfig::default().max_retries);
     }
 
     #[test]
-    #[should_panic(expected = "loss rate must be in [0, 1)")]
     fn validate_rejects_certain_loss() {
-        DeploymentConfig {
+        let err = DeploymentConfig {
             link: LinkConfig::lossy(1.0, 0),
             ..DeploymentConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("loss rate must be in [0, 1)"), "{err}");
     }
 
     #[test]
@@ -358,7 +374,7 @@ mod tests {
             ..DeploymentConfig::default()
         };
         assert_ne!(plain, chaotic, "the fault plan changes the deployment");
-        chaotic.validate();
+        assert_eq!(chaotic.validate(), Ok(()));
     }
 
     #[test]
@@ -369,20 +385,21 @@ mod tests {
             ..DeploymentConfig::default()
         };
         assert_ne!(plain, rotating, "duty cycling changes the deployment");
-        rotating.validate();
+        assert_eq!(rotating.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "shift period must be positive")]
     fn validate_rejects_zero_shift_period() {
-        DeploymentConfig {
+        let err = DeploymentConfig {
             rotation: Some(RotationConfig {
                 period: 0,
                 ..RotationConfig::default()
             }),
             ..DeploymentConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("shift period must be positive"), "{err}");
     }
 
     #[test]

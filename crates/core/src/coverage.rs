@@ -94,7 +94,7 @@ impl CoverageMap {
     ///
     /// Panics if any point lies outside `field` or the point set is empty.
     pub fn new(points: Vec<Point>, field: &Aabb, cfg: &DeploymentConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             !points.is_empty(),
             "a coverage map needs at least one point"

@@ -182,9 +182,8 @@ pub fn run_endurance(
     cfg: &DeploymentConfig,
     e: &EnduranceConfig,
 ) -> EnduranceReport {
-    cfg.validate();
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let rot = cfg.rotation.unwrap_or_default();
-    rot.validate();
     assert!(
         e.timeout_periods >= 2,
         "timeout must span at least 2 periods"

@@ -34,18 +34,24 @@
 //! Each round every leader scans its cell's points directly, reading the
 //! coverage map and the cell's ledger afresh, so blind spots and crashed
 //! sensors need no cache maintenance.
+//!
+//! The round itself — fault injection, round events, crash retirement,
+//! the forced fault batch of a covered run and the run's end — is the
+//! shared protocol of the crate's `rounds` module. The grid adds its
+//! decisions, its notice targets (the leaders of overlapped neighbor
+//! cells), its ledger policy (a `PeerDown` notice reaches the cell
+//! multi-hop and counts as delivered) and its per-cell message
+//! accounting; a crashed node leaves its cell's member list.
 
 use crate::config::DeploymentConfig;
-use crate::coverage::CoverageMap;
-use crate::invariants::InvariantChecker;
+use crate::coverage::{CoverageMap, SensorId};
 use crate::knowledge::NeighborKnowledge;
-use crate::metrics::{MessageStats, PlacementOutcome, TracePoint};
+use crate::metrics::{MessageStats, PlacementOutcome};
+use crate::rounds::{Clock, Rounds};
 use crate::scratch::SimScratch;
 use crate::Placer;
 use decor_geom::{Aabb, Point};
-use decor_net::{
-    rotation_leader_in, ChaosEngine, DeliveryOutcome, Message, MsgId, Network, NodeId, Transport,
-};
+use decor_net::{rotation_leader_in, DeliveryOutcome, Message, MsgId, NodeId};
 use decor_trace::TraceEvent;
 use std::collections::BTreeSet;
 
@@ -55,9 +61,6 @@ pub struct GridDecor {
     /// Cell edge length (paper: 5 for "small cell", 10 for "big cell").
     pub cell_size: f64,
 }
-
-/// Safety cap on synchronous rounds.
-const MAX_ROUNDS: usize = 100_000;
 
 pub(crate) struct Cells {
     pub(crate) cols: usize,
@@ -128,6 +131,21 @@ impl Cells {
         self.cols * self.rows
     }
 
+    /// Enrolls node `nid`, sited at `pos`, as a member of its cell.
+    fn add_member(&mut self, pos: Point, nid: NodeId) {
+        let ci = self.index_of(pos);
+        self.members[ci].push(nid);
+    }
+
+    /// The grid's part of retiring crashed node `nid` (sensor `sid`): its
+    /// cell drops the member, so rotations never elect the dead. The
+    /// per-cell scan reads the map afresh every round, so nothing else
+    /// needs updating.
+    fn drop_member(&mut self, map: &CoverageMap, nid: NodeId, sid: SensorId) {
+        let ci = self.index_of(map.sensor_pos(sid));
+        self.members[ci].retain(|&m| m != nid);
+    }
+
     pub(crate) fn center(&self, ci: usize) -> Point {
         let cx = ci % self.cols;
         let cy = ci / self.cols;
@@ -182,8 +200,6 @@ impl Cells {
 pub(crate) struct GridScratch {
     /// The cell partition, rebuilt per run via [`Cells::rebuild`].
     cells: Option<Cells>,
-    /// Sensor id per network node id.
-    sid_of: Vec<usize>,
     /// Round decisions: (acting cell, leader, target pid, benefit).
     decisions: Vec<(usize, NodeId, usize, u64)>,
     /// Empty cells claimed by adoption this round.
@@ -194,31 +210,6 @@ pub(crate) struct GridScratch {
     neigh: Vec<usize>,
     /// Election sort buffer for [`rotation_leader_in`].
     elect: Vec<NodeId>,
-    /// Per-round transport conclusions ([`Transport::flush_into`] target).
-    flushed: Vec<(MsgId, DeliveryOutcome)>,
-    /// Active-sensor buffer for `CoverageMap::active_sensors_into`.
-    sensors: Vec<(usize, Point)>,
-}
-
-/// Retires chaos-crashed nodes from the grid placer's world: the coverage
-/// map deactivates the sensor (ground truth drops), the cell drops the
-/// member (so rotations never elect the dead), and the invariant checker
-/// learns the death. The per-cell scan reads the map afresh every round,
-/// so nothing else needs updating.
-fn retire_crashed(
-    crashed: Vec<NodeId>,
-    map: &mut CoverageMap,
-    cells: &mut Cells,
-    net: &Network,
-    sid_of: &[usize],
-    checker: &InvariantChecker,
-) {
-    for nid in crashed {
-        checker.note_crash(nid as u64);
-        map.deactivate_sensor(sid_of[nid]);
-        let ci = cells.index_of(net.node(nid).pos);
-        cells.members[ci].retain(|&m| m != nid);
-    }
 }
 
 impl GridDecor {
@@ -294,8 +285,12 @@ impl Placer for GridDecor {
         format!("Grid ({}x{} cell)", self.cell_size, self.cell_size)
     }
 
-    fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        self.place_in(map, cfg, &mut SimScratch::new())
+    fn validate(&self, cfg: &DeploymentConfig) -> Result<(), String> {
+        cfg.validate()?;
+        if !(self.cell_size > 0.0 && self.cell_size.is_finite()) {
+            return Err("cell size must be positive".into());
+        }
+        Ok(())
     }
 
     fn place_in(
@@ -304,31 +299,20 @@ impl Placer for GridDecor {
         cfg: &DeploymentConfig,
         scratch: &mut SimScratch,
     ) -> PlacementOutcome {
-        cfg.validate();
-        assert!(
-            self.cell_size > 0.0 && self.cell_size.is_finite(),
-            "cell size must be positive"
-        );
+        self.validate(cfg).unwrap_or_else(|e| panic!("{e}"));
         let field = *map.field();
-        // Split the scratch into its independent pools up front so the
-        // round loop can borrow them side by side.
-        let SimScratch {
-            net: net_pool,
-            transport: transport_pool,
-            grid:
-                GridScratch {
-                    cells: cells_pool,
-                    sid_of,
-                    decisions,
-                    claimed_empty,
-                    pending,
-                    neigh,
-                    elect,
-                    flushed,
-                    sensors,
-                },
-            ..
-        } = scratch;
+        // Inter-leader range: diagonal of a 2-cell block (the paper's
+        // 10·√2 for 5×5 cells), never below the configured rc.
+        let rc_grid = (2.0 * std::f64::consts::SQRT_2 * self.cell_size).max(cfg.rc);
+        let mut r = Rounds::begin("grid", Clock::Transport, rc_grid, map, cfg, scratch);
+        let GridScratch {
+            cells: cells_pool,
+            decisions,
+            claimed_empty,
+            pending,
+            neigh,
+            elect,
+        } = &mut scratch.grid;
         let mut cells = match cells_pool.take() {
             Some(mut c) => {
                 c.rebuild(&field, self.cell_size, map);
@@ -336,71 +320,15 @@ impl Placer for GridDecor {
             }
             None => Cells::new(&field, self.cell_size, map),
         };
-        // Inter-leader range: diagonal of a 2-cell block (the paper's
-        // 10·√2 for 5×5 cells), never below the configured rc.
-        let rc_grid = (2.0 * std::f64::consts::SQRT_2 * self.cell_size).max(cfg.rc);
-        // Pooled network/transport: a warm scratch hands back last run's
-        // structures, reset to the same state a fresh construction yields.
-        let mut net = match net_pool.take() {
-            Some(mut n) => {
-                n.reset(field);
-                n
-            }
-            None => Network::new(field),
-        };
-        cfg.link.apply(&mut net);
-        net.set_trace(cfg.trace.clone());
-        let mut transport = match transport_pool.take() {
-            Some(mut t) => {
-                t.reset(cfg.link.transport());
-                t
-            }
-            None => Transport::new(cfg.link.transport()),
-        };
-        let mut chaos = cfg.chaos.as_ref().map(ChaosEngine::borrowed);
+        for (nid, &sid) in r.sid_of().iter().enumerate() {
+            cells.add_member(map.sensor_pos(sid), nid);
+        }
         // Viewer key: cell index. Cell members share a blackboard, so a
         // missed notice blinds the whole cell across leader rotations.
         let mut knowledge = NeighborKnowledge::new();
-        // Sensor id of each network node, indexed by node id (chaos crash
-        // processing maps the victim back to its map sensor).
-        sid_of.clear();
-        map.active_sensors_into(sensors);
-        for &(sid, pos) in sensors.iter() {
-            let nid = net.add_node(pos, cfg.rs, rc_grid);
-            debug_assert_eq!(nid, sid_of.len());
-            sid_of.push(sid);
-            let home = cells.index_of(pos);
-            cells.members[home].push(nid);
-        }
-        let initial = map.n_active_sensors();
-        let mut out = PlacementOutcome {
-            initial_sensors: initial,
-            ..PlacementOutcome::default()
-        };
-        out.trace.push(TracePoint {
-            total_sensors: initial,
-            fraction_k_covered: map.fraction_k_covered(cfg.k),
-        });
 
-        let mut round: u64 = 0;
-        while out.placed.len() < cfg.max_new_nodes && (round as usize) < MAX_ROUNDS {
-            // Faults due by now land before any election of this round.
-            if let Some(ch) = chaos.as_mut() {
-                ch.advance_to(&mut net, transport.now());
-                retire_crashed(
-                    ch.take_crashed(),
-                    map,
-                    &mut cells,
-                    &net,
-                    sid_of,
-                    &cfg.invariants,
-                );
-            }
-            cfg.trace.set_time(transport.now());
-            cfg.trace.emit(TraceEvent::RoundBegin {
-                scheme: "grid",
-                round,
-            });
+        while r.next_round(map, |m, nid, sid| cells.drop_member(m, nid, sid)) {
+            let round = r.round();
             // Decisions from the coverage snapshot at round start. Each
             // entry: (acting cell, leader node, target point id, benefit).
             decisions.clear();
@@ -424,7 +352,7 @@ impl Placer for GridDecor {
                     ci as u64,
                     round,
                     leader as u64,
-                    net.is_alive(leader),
+                    r.net.is_alive(leader),
                 );
                 let hidden = knowledge.hidden_from(ci);
                 if let Some((pid, b)) = Self::best_candidate(map, &cells, ci, cfg, hidden) {
@@ -470,28 +398,7 @@ impl Placer for GridDecor {
             // cell is populated at all).
             if decisions.is_empty() {
                 if map.count_below(cfg.k) == 0 {
-                    // Fully covered but faults are still scheduled: a quiet
-                    // run would never reach their injection times, so force
-                    // the next batch and keep the protocol running.
-                    if let Some(ch) = chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
-                        ch.advance_next_batch(&mut net);
-                        retire_crashed(
-                            ch.take_crashed(),
-                            map,
-                            &mut cells,
-                            &net,
-                            sid_of,
-                            &cfg.invariants,
-                        );
-                        cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 0 });
-                        cfg.trace.emit(TraceEvent::CoverageDelta {
-                            below_target: map.count_below(cfg.k) as u64,
-                        });
-                        round += 1;
-                        out.trace.push(TracePoint {
-                            total_sensors: initial + out.placed.len(),
-                            fraction_k_covered: map.fraction_k_covered(cfg.k),
-                        });
+                    if r.force_round(map, |m, nid, sid| cells.drop_member(m, nid, sid)) {
                         continue;
                     }
                     break;
@@ -517,27 +424,9 @@ impl Placer for GridDecor {
                     None => {
                         // No sensors anywhere: bootstrap one out-of-band.
                         let pos = map.points()[pid];
-                        let new_sid = map.add_sensor(pos, cfg.rs);
-                        let nid = net.add_node(pos, cfg.rs, rc_grid);
-                        sid_of.push(new_sid);
-                        let home = cells.index_of(pos);
-                        cells.members[home].push(nid);
-                        out.placed.push(pos);
-                        cfg.trace.emit(TraceEvent::SensorPlaced {
-                            x: pos.x,
-                            y: pos.y,
-                            benefit: b,
-                            agent: target as u64,
-                        });
-                        cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 1 });
-                        cfg.trace.emit(TraceEvent::CoverageDelta {
-                            below_target: map.count_below(cfg.k) as u64,
-                        });
-                        round += 1;
-                        out.trace.push(TracePoint {
-                            total_sensors: initial + out.placed.len(),
-                            fraction_k_covered: map.fraction_k_covered(cfg.k),
-                        });
+                        let (_, nid) = r.place(map, pos, b, target as u64);
+                        cells.add_member(pos, nid);
+                        r.close_round(map);
                         continue;
                     }
                 }
@@ -547,26 +436,15 @@ impl Placer for GridDecor {
             // (msg handle, notified cell, announced sensor) per transport
             // notice of this round.
             pending.clear();
-            let placed_before_round = out.placed.len();
             for &(ci, leader, pid, benefit) in decisions.iter() {
-                if out.placed.len() >= cfg.max_new_nodes {
+                if r.placed() >= cfg.max_new_nodes {
                     break;
                 }
                 cfg.invariants
-                    .check_placer_alive("grid", leader as u64, net.is_alive(leader));
+                    .check_placer_alive("grid", leader as u64, r.net.is_alive(leader));
                 let pos = map.points()[pid];
-                let new_sid = map.add_sensor(pos, cfg.rs);
-                let nid = net.add_node(pos, cfg.rs, rc_grid);
-                sid_of.push(new_sid);
-                let home = cells.index_of(pos);
-                cells.members[home].push(nid);
-                out.placed.push(pos);
-                cfg.trace.emit(TraceEvent::SensorPlaced {
-                    x: pos.x,
-                    y: pos.y,
-                    benefit,
-                    agent: ci as u64,
-                });
+                let (new_sid, nid) = r.place(map, pos, benefit, ci as u64);
+                cells.add_member(pos, nid);
                 // Placement notice to every neighboring cell whose area the
                 // new disk overlaps and that currently has a leader.
                 let disk = decor_geom::Disk::new(pos, cfg.rs);
@@ -579,129 +457,56 @@ impl Placer for GridDecor {
                         let nb_leader =
                             rotation_leader_in(&cells.members[nc], round, elect).unwrap();
                         let id =
-                            transport.send(leader, nb_leader, Message::PlacementNotice { pos });
+                            r.transport
+                                .send(leader, nb_leader, Message::PlacementNotice { pos });
                         pending.push((id, nc, new_sid));
                     }
                 }
             }
-            // Under chaos the flush interleaves fault injection with the
-            // retry clock, so crashes land between retransmissions.
-            match chaos.as_mut() {
-                Some(ch) => transport.flush_chaos_into(&mut net, ch, flushed),
-                None => transport.flush_into(&mut net, flushed),
-            }
-            // Ids are unique, so a sorted slice answers the outcome lookups.
-            flushed.sort_unstable_by_key(|&(id, _)| id);
+            r.flush(map, |m, nid, sid| cells.drop_member(m, nid, sid));
             for &(id, nc, new_sid) in pending.iter() {
-                let outcome = flushed
-                    .binary_search_by_key(&id, |&(i, _)| i)
-                    .ok()
-                    .map(|ix| &flushed[ix].1);
-                match outcome {
-                    Some(DeliveryOutcome::Delivered { .. }) => {
-                        cfg.invariants.check_ledger(
-                            nc as u64,
-                            new_sid as u64,
-                            true,
-                            knowledge.knows(nc, new_sid),
-                        );
-                    }
+                let delivered = match r.outcome(id) {
+                    Some(DeliveryOutcome::Delivered { .. }) => true,
                     // The peer leader is unreachable directly — exotic
                     // geometry, or a chaos crash mid-flight: modelled as
                     // multi-hop — the notice reaches the cell, at one
                     // message's cost.
                     Some(DeliveryOutcome::PeerDown) => {
-                        net.stats.protocol_sent += 1;
-                        net.stats.total_sent += 1;
-                        cfg.invariants.check_ledger(
-                            nc as u64,
-                            new_sid as u64,
-                            true,
-                            knowledge.knows(nc, new_sid),
-                        );
+                        r.net.stats.protocol_sent += 1;
+                        r.net.stats.total_sent += 1;
+                        true
                     }
                     // Retry budget exhausted (or unflushed, which cannot
                     // happen): the cell never hears of the sensor.
                     _ => {
                         knowledge.hide(nc, new_sid);
-                        cfg.invariants.check_ledger(
-                            nc as u64,
-                            new_sid as u64,
-                            false,
-                            knowledge.knows(nc, new_sid),
-                        );
+                        false
                     }
-                }
-            }
-            // Crashes that fired during the flush retire their sensors
-            // before the round closes.
-            if let Some(ch) = chaos.as_mut() {
-                retire_crashed(
-                    ch.take_crashed(),
-                    map,
-                    &mut cells,
-                    &net,
-                    sid_of,
-                    &cfg.invariants,
+                };
+                cfg.invariants.check_ledger(
+                    nc as u64,
+                    new_sid as u64,
+                    delivered,
+                    knowledge.knows(nc, new_sid),
                 );
             }
-
-            cfg.trace.set_time(transport.now());
-            cfg.trace.emit(TraceEvent::RoundEnd {
-                round,
-                placed: (out.placed.len() - placed_before_round) as u64,
-            });
-            cfg.trace.emit(TraceEvent::CoverageDelta {
-                below_target: map.count_below(cfg.k) as u64,
-            });
-            round += 1;
-            out.trace.push(TracePoint {
-                total_sensors: initial + out.placed.len(),
-                fraction_k_covered: map.fraction_k_covered(cfg.k),
-            });
-            if map.count_below(cfg.k) == 0 {
-                // Covered, but faults still pending: force the next batch
-                // rather than converging early (see the stall-branch twin).
-                match chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
-                    Some(ch) => {
-                        ch.advance_next_batch(&mut net);
-                        retire_crashed(
-                            ch.take_crashed(),
-                            map,
-                            &mut cells,
-                            &net,
-                            sid_of,
-                            &cfg.invariants,
-                        );
-                    }
-                    None => break,
-                }
+            if !r.end_round(map, |m, nid, sid| cells.drop_member(m, nid, sid)) {
+                break;
             }
         }
 
-        out.rounds = round as usize;
-        out.fully_covered = map.count_below(cfg.k) == 0;
-        cfg.invariants.check_converged(
-            out.fully_covered,
-            chaos.as_ref().is_some_and(|ch| !ch.is_exhausted()),
-            out.placed.len() >= cfg.max_new_nodes || (round as usize) >= MAX_ROUNDS,
-        );
+        let sent = r.net.stats.protocol_sent;
         let populated = cells.members.iter().filter(|m| !m.is_empty()).count();
         let total_members: usize = cells.members.iter().map(Vec::len).sum();
-        out.messages = MessageStats {
-            protocol_total: net.stats.protocol_sent,
+        let messages = MessageStats {
+            protocol_total: sent,
             cells: populated.max(1),
-            per_cell: net.stats.protocol_sent as f64 / populated.max(1) as f64,
-            per_node_rotated: net.stats.protocol_sent as f64 / total_members.max(1) as f64,
-            retries: transport.stats.retries,
-            acks: transport.stats.acks,
-            notices_gave_up: transport.stats.gave_up,
-            duplicates_suppressed: transport.stats.duplicates_suppressed,
+            per_cell: sent as f64 / populated.max(1) as f64,
+            per_node_rotated: sent as f64 / total_members.max(1) as f64,
+            ..MessageStats::default()
         };
         *cells_pool = Some(cells);
-        *net_pool = Some(net);
-        *transport_pool = Some(transport);
-        out
+        r.finish(map, scratch, messages)
     }
 }
 

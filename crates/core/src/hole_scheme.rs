@@ -18,47 +18,31 @@
 //! whose disks can reach it are gathered, so healing a small wound on a
 //! large field never touches the far side of the field.
 //!
-//! Like the distributed schemes the placer keeps a mirror [`Network`] of
-//! accounting nodes so a scripted [`ChaosEngine`] can crash sensors
-//! mid-restoration on a per-round clock; crashed sensors are retired from
-//! the coverage map (and reported to the invariant checker) before the
-//! next decision, so the healer reacts to faults it has itself already
-//! repaired around.
-
-use std::collections::BTreeMap;
+//! Like the distributed schemes the placer runs on the shared round
+//! protocol (the crate's `rounds` module): a mirror network of accounting
+//! nodes lets a scripted chaos plan crash sensors mid-restoration. The
+//! healer sends no messages, so its chaos clock is `round × backoff_base`
+//! and trace time moves only under chaos. Crashed sensors are retired
+//! from the coverage map (and reported to the invariant checker) before
+//! the next decision, and the healer's hook drops its residual engine, so
+//! it reacts to faults it has itself already repaired around. A covered
+//! field with faults still pending costs an empty round that forces the
+//! next batch.
 
 use decor_geom::{detect_holes, Aabb, Point};
-use decor_net::{ChaosEngine, Network, NodeId};
-use decor_trace::TraceEvent;
 
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
 use crate::engine::ShardedBenefitEngine;
-use crate::metrics::{PlacementOutcome, TracePoint};
+use crate::metrics::{MessageStats, PlacementOutcome};
+use crate::rounds::{Clock, Rounds};
+use crate::scratch::SimScratch;
 use crate::Placer;
-
-/// Round cap (loop safety; mirrors the other schemes).
-const MAX_ROUNDS: usize = 100_000;
 
 /// Exact hole detection + deepest-witness healing, engine top-up for
 /// residual `k`-deficits.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HoleHealing;
-
-/// Retires chaos-crashed nodes: deactivate in the map, tell the checker.
-fn retire_crashed(
-    crashed: Vec<NodeId>,
-    map: &mut CoverageMap,
-    sid_of: &BTreeMap<NodeId, usize>,
-    checker: &crate::invariants::InvariantChecker,
-) -> usize {
-    let n = crashed.len();
-    for nid in crashed {
-        checker.note_crash(nid as u64);
-        map.deactivate_sensor(sid_of[&nid]);
-    }
-    n
-}
 
 /// The exact-geometry candidate: the deepest witness of the largest true
 /// hole inside the deficit's region of interest, or `None` when the
@@ -103,70 +87,26 @@ impl Placer for HoleHealing {
         "Holes (exact)".to_owned()
     }
 
-    fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        cfg.validate();
-        let field = *map.field();
-        // Accounting mirror so the chaos engine has nodes to crash. The
-        // healer itself is a central authority and sends no messages.
-        let mut net = Network::new(field);
-        net.set_trace(cfg.trace.clone());
-        let mut chaos = cfg.chaos.as_ref().map(ChaosEngine::borrowed);
-        let mut sid_of: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (sid, pos) in map.active_sensors() {
-            let nid = net.add_node(pos, cfg.rs, cfg.rc);
-            sid_of.insert(nid, sid);
-        }
-        let initial = map.n_active_sensors();
-        let mut out = PlacementOutcome {
-            initial_sensors: initial,
-            ..PlacementOutcome::default()
-        };
-        out.trace.push(TracePoint {
-            total_sensors: initial,
-            fraction_k_covered: map.fraction_k_covered(cfg.k),
-        });
-
+    fn place_in(
+        &self,
+        map: &mut CoverageMap,
+        cfg: &DeploymentConfig,
+        scratch: &mut SimScratch,
+    ) -> PlacementOutcome {
+        self.validate(cfg).unwrap_or_else(|e| panic!("{e}"));
+        // The healer has no transport traffic; chaos rides a per-round
+        // clock with the transport's backoff tick, so scripted faults land
+        // between placements exactly as they do for the distributed
+        // schemes.
+        let clock = Clock::PerRound(cfg.link.backoff_base);
+        let mut r = Rounds::begin("holes", clock, cfg.rc, map, cfg, scratch);
         // Greedy engine for the residual k-deficit, built lazily the
         // first round no true hole remains and invalidated whenever a
         // crash retires coverage behind its back.
         let mut engine: Option<ShardedBenefitEngine> = None;
-        let mut rounds = 0usize;
-        while out.placed.len() < cfg.max_new_nodes && rounds < MAX_ROUNDS {
-            let round = rounds as u64;
-            // The healer has no transport; chaos rides a per-round clock
-            // with the transport's backoff tick, so scripted faults land
-            // between placements exactly as they do for the distributed
-            // schemes.
-            if let Some(ch) = chaos.as_mut() {
-                let now = round * cfg.link.backoff_base;
-                ch.advance_to(&mut net, now);
-                if retire_crashed(ch.take_crashed(), map, &sid_of, &cfg.invariants) > 0 {
-                    engine = None;
-                }
-                cfg.trace.set_time(now);
-            }
-            cfg.trace.emit(TraceEvent::RoundBegin {
-                scheme: "holes",
-                round,
-            });
-
+        while r.next_round(map, |_, _, _| engine = None) {
             let pos = if map.count_below(cfg.k) == 0 {
-                // Fully covered but faults still scheduled: force the
-                // next batch rather than converging early.
-                if let Some(ch) = chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
-                    ch.advance_next_batch(&mut net);
-                    if retire_crashed(ch.take_crashed(), map, &sid_of, &cfg.invariants) > 0 {
-                        engine = None;
-                    }
-                    cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 0 });
-                    cfg.trace.emit(TraceEvent::CoverageDelta {
-                        below_target: map.count_below(cfg.k) as u64,
-                    });
-                    rounds += 1;
-                    out.trace.push(TracePoint {
-                        total_sensors: initial + out.placed.len(),
-                        fraction_k_covered: map.fraction_k_covered(cfg.k),
-                    });
+                if r.force_round(map, |_, _, _| engine = None) {
                     continue;
                 }
                 break;
@@ -194,43 +134,19 @@ impl Placer for HoleHealing {
 
             // The witness benefit is scored by the same Eq. 1 the engine
             // uses, so hole placements and engine placements are
-            // comparable in the trace.
+            // comparable in the trace. Placed by the central healing
+            // authority, not an agent.
             let benefit = map.deficit_within(pos, cfg.rs, cfg.k);
-            let sid = map.add_sensor(pos, cfg.rs);
+            r.place(map, pos, benefit, u64::MAX);
             if let Some(eng) = engine.as_mut() {
                 eng.on_sensor_added(map, pos, cfg.rs);
             }
-            let nid = net.add_node(pos, cfg.rs, cfg.rc);
-            sid_of.insert(nid, sid);
-            out.placed.push(pos);
-            // Placed by the central healing authority, not an agent.
-            cfg.trace.emit(TraceEvent::SensorPlaced {
-                x: pos.x,
-                y: pos.y,
-                benefit,
-                agent: u64::MAX,
-            });
-            cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 1 });
-            cfg.trace.emit(TraceEvent::CoverageDelta {
-                below_target: map.count_below(cfg.k) as u64,
-            });
-            rounds += 1;
-            out.trace.push(TracePoint {
-                total_sensors: initial + out.placed.len(),
-                fraction_k_covered: map.fraction_k_covered(cfg.k),
-            });
+            r.close_round(map);
         }
 
-        out.rounds = rounds;
-        out.fully_covered = map.count_below(cfg.k) == 0;
-        cfg.invariants.check_converged(
-            out.fully_covered,
-            chaos.as_ref().is_some_and(|ch| !ch.is_exhausted()),
-            out.placed.len() >= cfg.max_new_nodes || rounds >= MAX_ROUNDS,
-        );
         // No messages: the healer is centralized (cost accounting matches
         // the centralized baseline's all-zero stats).
-        out
+        r.finish(map, scratch, MessageStats::default())
     }
 }
 

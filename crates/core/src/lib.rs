@@ -44,6 +44,7 @@ pub mod redundancy;
 pub mod reliability;
 pub mod restore;
 pub mod rotation;
+mod rounds;
 pub mod scratch;
 pub mod voronoi_scheme;
 
@@ -74,21 +75,27 @@ pub trait Placer {
     /// "Grid (small cell)", ...).
     fn name(&self) -> String;
 
-    /// Runs the algorithm, mutating `map` by adding sensors. Returns what
-    /// was placed plus cost accounting.
-    fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome;
+    /// Checks that this placer can run under `cfg`, naming the first rule
+    /// the pair breaks. [`Placer::place_in`] panics with that message;
+    /// front ends call this first to report it instead.
+    fn validate(&self, cfg: &DeploymentConfig) -> Result<(), String> {
+        cfg.validate()
+    }
 
-    /// Like [`Placer::place`], but threads a pooled [`SimScratch`] so a
-    /// warm caller reuses the engine/network/transport allocations from
-    /// the previous run. The default delegates to `place` (cold path);
-    /// schemes that override it must produce bit-identical outcomes
-    /// either way.
+    /// Runs the algorithm, mutating `map` by adding sensors, and returns
+    /// what was placed plus cost accounting. `scratch` is a pooled
+    /// [`SimScratch`]: a warm caller reuses the engine, network and
+    /// transport allocations of its previous run, and the outcome is
+    /// bit-identical to a run on a fresh scratch.
     fn place_in(
         &self,
         map: &mut CoverageMap,
         cfg: &DeploymentConfig,
-        _scratch: &mut SimScratch,
-    ) -> PlacementOutcome {
-        self.place(map, cfg)
+        scratch: &mut SimScratch,
+    ) -> PlacementOutcome;
+
+    /// [`Placer::place_in`] on a fresh [`SimScratch`].
+    fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
+        self.place_in(map, cfg, &mut SimScratch::new())
     }
 }

@@ -9,6 +9,7 @@
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
 use crate::metrics::{PlacementOutcome, TracePoint};
+use crate::scratch::SimScratch;
 use crate::Placer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,8 +26,13 @@ impl Placer for RandomPlacement {
         "Random".to_owned()
     }
 
-    fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        cfg.validate();
+    fn place_in(
+        &self,
+        map: &mut CoverageMap,
+        cfg: &DeploymentConfig,
+        _scratch: &mut SimScratch,
+    ) -> PlacementOutcome {
+        self.validate(cfg).unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(self.seed);
         let field = *map.field();
         let initial = map.n_active_sensors();

@@ -73,7 +73,7 @@ pub fn fail_and_restore(
     plan: &FailurePlan,
     heartbeat: Option<HeartbeatConfig>,
 ) -> RestorationReport {
-    cfg.validate();
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     // Mirror the active sensors into a network for failure selection and
     // detection. Network node i corresponds to sensors[i] below. The
     // configured link loss applies here too, so heartbeat detection runs
@@ -93,7 +93,6 @@ pub fn fail_and_restore(
     // canonical set-k-cover partition of the pre-failure deployment —
     // exactly what the in-network agreement (`crate::rotation`) lands on.
     let schedule: Option<ShiftSchedule> = cfg.rotation.as_ref().and_then(|rot| {
-        rot.validate();
         let shifts = SleepScheduler::new(rot.target_coverage).shifts(&net, map.points());
         let n = net.len();
         (shifts.len() > 1).then(|| ShiftSchedule::new(shifts, rot.period, n))

@@ -82,7 +82,7 @@ pub fn agree_shifts(
     link: &LinkConfig,
     epoch: u64,
 ) -> ShiftAgreement {
-    rot.validate();
+    rot.validate().unwrap_or_else(|e| panic!("{e}"));
     let all: Vec<NodeId> = (0..net.len()).collect();
     let alive = alive_members(&all, net);
     let coordinator = rotation_leader(&alive, epoch);

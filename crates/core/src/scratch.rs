@@ -35,6 +35,8 @@ pub struct SimScratch {
     /// Voronoi-scheme round-loop buffers (ownership cache, decisions,
     /// notices, id maps).
     pub(crate) voro: crate::voronoi_scheme::VoronoiScratch,
+    /// Round-protocol buffers (node-to-sensor map, flush outcomes).
+    pub(crate) rounds: crate::rounds::RoundScratch,
 }
 
 impl SimScratch {
@@ -48,6 +50,7 @@ impl SimScratch {
             transport: None,
             grid: Default::default(),
             voro: Default::default(),
+            rounds: Default::default(),
         }
     }
 }

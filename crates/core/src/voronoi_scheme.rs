@@ -38,15 +38,23 @@
 //! its own: it hides the sensor placed this round, and only points within
 //! `rc` of that sensor can read the hidden entry — the placement already
 //! marked them.
+//!
+//! The round itself — fault injection, round events, crash retirement,
+//! the forced fault batch of a covered run and the run's end — is the
+//! shared protocol of the crate's `rounds` module. Voronoi adds its
+//! decisions, its notice targets (the placing agent's 1-hop neighbors),
+//! its ledger policy (every notice not delivered hides the sensor from
+//! its recipient) and its per-agent message accounting; a crash dirties
+//! the owner cache around the dead sensor.
 
 use crate::config::DeploymentConfig;
 use crate::coverage::CoverageMap;
 use crate::knowledge::NeighborKnowledge;
-use crate::metrics::{MessageStats, PlacementOutcome, TracePoint};
+use crate::metrics::{MessageStats, PlacementOutcome};
+use crate::rounds::{Clock, Rounds};
 use crate::scratch::SimScratch;
 use crate::Placer;
-use decor_net::{ChaosEngine, DeliveryOutcome, Message, MsgId, Network, NodeId, Transport};
-use decor_trace::TraceEvent;
+use decor_net::{Message, MsgId, NodeId};
 use std::collections::BTreeSet;
 
 /// Voronoi-based DECOR. `rc` overrides the config's communication radius
@@ -57,9 +65,6 @@ pub struct VoronoiDecor {
     /// local Voronoi cells.
     pub rc: f64,
 }
-
-/// Safety cap on synchronous rounds.
-const MAX_ROUNDS: usize = 100_000;
 
 impl VoronoiDecor {
     /// Coverage of point `p` as estimated by the agent at `viewer`:
@@ -208,8 +213,6 @@ pub(crate) struct VoronoiScratch {
     decisions: Vec<(usize, usize, u64)>,
     /// Per-round `(msg handle, recipient sid, announced sid)` notices.
     pending: Vec<(MsgId, usize, usize)>,
-    /// Per-round flush outcomes, sorted by message id for lookup.
-    flushed: Vec<(MsgId, DeliveryOutcome)>,
     /// Candidate/coverer buffers for the ownership pass.
     owners_scratch: OwnersScratch,
     /// Neighbor-list buffer for placement notices.
@@ -217,10 +220,6 @@ pub(crate) struct VoronoiScratch {
     /// Dense sid → node id map (`usize::MAX` = sensor has no node, i.e.
     /// it was inactive when the run started).
     net_of: Vec<NodeId>,
-    /// Dense node id → sid map (node ids are insertion-dense).
-    sid_of: Vec<usize>,
-    /// Initial active-sensor list buffer.
-    sensors: Vec<(usize, decor_geom::Point)>,
     /// Stall-rescue deficient-point buffer.
     deficient: Vec<usize>,
 }
@@ -242,28 +241,20 @@ fn invalidate_disk(
     });
 }
 
-/// Retires chaos-crashed nodes from the Voronoi placer's world: the
-/// coverage map deactivates the sensor (a dead agent neither covers nor
-/// owns points — map queries only visit active sensors), the ownership
-/// cache drops every point the dead sensor could own or cover, and the
-/// invariant checker learns the death.
-fn retire_crashed(
-    crashed: Vec<NodeId>,
-    map: &mut CoverageMap,
-    sid_of: &[usize],
+/// The Voronoi part of retiring crashed sensor `sid`: a dead agent
+/// neither covers nor owns points (map queries only visit active
+/// sensors), so every point it could own or cover needs an ownership
+/// recompute.
+fn forget_sensor(
+    map: &CoverageMap,
+    sid: usize,
     rc: f64,
     owners_dirty: &mut [bool],
     dirty: &mut Vec<usize>,
-    checker: &crate::invariants::InvariantChecker,
 ) {
-    for nid in crashed {
-        checker.note_crash(nid as u64);
-        let sid = sid_of[nid];
-        map.deactivate_sensor(sid);
-        // A sensor sensing beyond `rc` also covers points farther out.
-        let reach = rc.max(map.sensor_rs(sid));
-        invalidate_disk(map, map.sensor_pos(sid), reach, owners_dirty, dirty);
-    }
+    // A sensor sensing beyond `rc` also covers points farther out.
+    let reach = rc.max(map.sensor_rs(sid));
+    invalidate_disk(map, map.sensor_pos(sid), reach, owners_dirty, dirty);
 }
 
 impl Placer for VoronoiDecor {
@@ -271,8 +262,15 @@ impl Placer for VoronoiDecor {
         format!("Voronoi (rc={:.1})", self.rc)
     }
 
-    fn place(&self, map: &mut CoverageMap, cfg: &DeploymentConfig) -> PlacementOutcome {
-        self.place_in(map, cfg, &mut SimScratch::new())
+    fn validate(&self, cfg: &DeploymentConfig) -> Result<(), String> {
+        cfg.validate()?;
+        if self.rc < cfg.rs {
+            return Err(format!(
+                "Voronoi scheme needs rc >= rs (got rc={}, rs={})",
+                self.rc, cfg.rs
+            ));
+        }
+        Ok(())
     }
 
     fn place_in(
@@ -297,33 +295,9 @@ impl VoronoiDecor {
         pool: &mut SimScratch,
         recompute_all: bool,
     ) -> PlacementOutcome {
-        cfg.validate();
+        self.validate(cfg).unwrap_or_else(|e| panic!("{e}"));
         let rc = self.rc;
-        assert!(
-            rc >= cfg.rs,
-            "Voronoi scheme needs rc >= rs (got rc={rc}, rs={})",
-            cfg.rs
-        );
-        let field = *map.field();
-        // Pooled network/transport: a warm pool hands back last run's
-        // structures, reset to the same state a fresh construction yields.
-        let mut net = match pool.net.take() {
-            Some(mut n) => {
-                n.reset(field);
-                n
-            }
-            None => Network::new(field),
-        };
-        cfg.link.apply(&mut net);
-        net.set_trace(cfg.trace.clone());
-        let mut transport = match pool.transport.take() {
-            Some(mut t) => {
-                t.reset(cfg.link.transport());
-                t
-            }
-            None => Transport::new(cfg.link.transport()),
-        };
-        let mut chaos = cfg.chaos.as_ref().map(ChaosEngine::borrowed);
+        let mut r = Rounds::begin("voronoi", Clock::Transport, rc, map, cfg, pool);
         let mut knowledge = NeighborKnowledge::new();
         // Pooled round-loop buffers, destructured into disjoint `&mut`s so
         // the borrow checker accepts simultaneous use across the loop.
@@ -335,38 +309,21 @@ impl VoronoiDecor {
             owned,
             decisions,
             pending,
-            flushed,
             owners_scratch,
             nbs_buf,
             net_of,
-            sid_of,
-            sensors,
             deficient,
         } = &mut pool.voro;
-        // Both id spaces are insertion-dense (`add_sensor`/`add_node`
-        // hand out sequential ids), so plain vecs replace the old
-        // `BTreeMap` sid↔nid maps. Sensors inactive at run start (failed
-        // before restoration) get no node; the sentinel is never read
-        // because dead agents neither own points nor place.
+        // The sensor id space is insertion-dense (`add_sensor` hands out
+        // sequential ids), so a plain vec maps sensors to nodes. Sensors
+        // inactive at run start (failed before restoration) get no node;
+        // the sentinel is never read because dead agents neither own
+        // points nor place.
         net_of.clear();
         net_of.resize(map.n_sensors(), usize::MAX);
-        sid_of.clear();
-        map.active_sensors_into(sensors);
-        for &(sid, pos) in sensors.iter() {
-            let nid = net.add_node(pos, cfg.rs, rc);
+        for (nid, &sid) in r.sid_of().iter().enumerate() {
             net_of[sid] = nid;
-            debug_assert_eq!(nid, sid_of.len());
-            sid_of.push(sid);
         }
-        let initial = map.n_active_sensors();
-        let mut out = PlacementOutcome {
-            initial_sensors: initial,
-            ..PlacementOutcome::default()
-        };
-        out.trace.push(TracePoint {
-            total_sensors: initial,
-            fraction_k_covered: map.fraction_k_covered(cfg.k),
-        });
 
         let rc_sq = rc * rc;
         // Per-point ownership cache: `owners[pid]` is the last computed
@@ -387,27 +344,9 @@ impl VoronoiDecor {
         dirty.extend(0..map.n_points());
         active.clear();
         active.resize(map.n_points(), false);
-        let mut rounds = 0usize;
-        while out.placed.len() < cfg.max_new_nodes && rounds < MAX_ROUNDS {
-            let round = rounds as u64;
-            // Faults due by now land before any decision of this round.
-            if let Some(ch) = chaos.as_mut() {
-                ch.advance_to(&mut net, transport.now());
-                retire_crashed(
-                    ch.take_crashed(),
-                    map,
-                    sid_of,
-                    rc,
-                    owners_dirty,
-                    dirty,
-                    &cfg.invariants,
-                );
-            }
-            cfg.trace.set_time(transport.now());
-            cfg.trace.emit(TraceEvent::RoundBegin {
-                scheme: "voronoi",
-                round,
-            });
+        while r.next_round(map, |m, _, sid| {
+            forget_sensor(m, sid, rc, owners_dirty, dirty)
+        }) {
             // ---- Decision phase (coverage snapshot at round start) ----
             // For every point, find the agents that (a) believe it is
             // under-covered and (b) own it under their local view.
@@ -490,29 +429,9 @@ impl VoronoiDecor {
             // ---- Stall rescue ----
             if decisions.is_empty() {
                 if map.count_below(cfg.k) == 0 {
-                    // Fully covered but faults are still scheduled: a quiet
-                    // run would never reach their injection times, so force
-                    // the next batch and keep the protocol running.
-                    if let Some(ch) = chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
-                        ch.advance_next_batch(&mut net);
-                        retire_crashed(
-                            ch.take_crashed(),
-                            map,
-                            sid_of,
-                            rc,
-                            owners_dirty,
-                            dirty,
-                            &cfg.invariants,
-                        );
-                        cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 0 });
-                        cfg.trace.emit(TraceEvent::CoverageDelta {
-                            below_target: map.count_below(cfg.k) as u64,
-                        });
-                        rounds += 1;
-                        out.trace.push(TracePoint {
-                            total_sensors: initial + out.placed.len(),
-                            fraction_k_covered: map.fraction_k_covered(cfg.k),
-                        });
+                    if r.force_round(map, |m, _, sid| {
+                        forget_sensor(m, sid, rc, owners_dirty, dirty)
+                    }) {
                         continue;
                     }
                     break;
@@ -532,30 +451,12 @@ impl VoronoiDecor {
                     })
                     .expect("non-empty deficient set");
                 let pos = map.points()[target];
-                let sid = map.add_sensor(pos, cfg.rs);
+                // Out-of-band dispatch: no placing agent, no local estimate.
+                let (sid, nid) = r.place(map, pos, 0, u64::MAX);
                 invalidate_disk(map, pos, rc, owners_dirty, dirty);
-                let nid = net.add_node(pos, cfg.rs, rc);
                 debug_assert_eq!(sid, net_of.len());
                 net_of.push(nid);
-                debug_assert_eq!(nid, sid_of.len());
-                sid_of.push(sid);
-                out.placed.push(pos);
-                // Out-of-band dispatch: no placing agent, no local estimate.
-                cfg.trace.emit(TraceEvent::SensorPlaced {
-                    x: pos.x,
-                    y: pos.y,
-                    benefit: 0,
-                    agent: u64::MAX,
-                });
-                cfg.trace.emit(TraceEvent::RoundEnd { round, placed: 1 });
-                cfg.trace.emit(TraceEvent::CoverageDelta {
-                    below_target: map.count_below(cfg.k) as u64,
-                });
-                rounds += 1;
-                out.trace.push(TracePoint {
-                    total_sensors: initial + out.placed.len(),
-                    fraction_k_covered: map.fraction_k_covered(cfg.k),
-                });
+                r.close_round(map);
                 continue;
             }
 
@@ -563,56 +464,39 @@ impl VoronoiDecor {
             // (msg handle, recipient sensor, announced sensor) for every
             // notice handed to the transport this round.
             pending.clear();
-            let placed_before_round = out.placed.len();
             for &(agent_sid, pid, benefit) in decisions.iter() {
-                if out.placed.len() >= cfg.max_new_nodes {
+                if r.placed() >= cfg.max_new_nodes {
                     break;
                 }
+                let agent_nid = net_of[agent_sid];
                 cfg.invariants.check_placer_alive(
                     "voronoi",
-                    net_of[agent_sid] as u64,
-                    net.is_alive(net_of[agent_sid]),
+                    agent_nid as u64,
+                    r.net.is_alive(agent_nid),
                 );
                 let pos = map.points()[pid];
-                let new_sid = map.add_sensor(pos, cfg.rs);
+                let (new_sid, new_nid) = r.place(map, pos, benefit, agent_sid as u64);
                 invalidate_disk(map, pos, rc, owners_dirty, dirty);
-                let new_nid = net.add_node(pos, cfg.rs, rc);
                 debug_assert_eq!(new_sid, net_of.len());
                 net_of.push(new_nid);
-                debug_assert_eq!(new_nid, sid_of.len());
-                sid_of.push(new_sid);
-                out.placed.push(pos);
-                cfg.trace.emit(TraceEvent::SensorPlaced {
-                    x: pos.x,
-                    y: pos.y,
-                    benefit,
-                    agent: agent_sid as u64,
-                });
                 // Placement notice: one unicast per 1-hop neighbor of the
                 // placing agent (traffic grows with rc — Fig. 10).
-                let agent_nid = net_of[agent_sid];
-                net.neighbors_into(agent_nid, nbs_buf);
+                r.net.neighbors_into(agent_nid, nbs_buf);
                 for &nb in nbs_buf.iter() {
-                    let id = transport.send(agent_nid, nb, Message::PlacementNotice { pos });
-                    pending.push((id, sid_of[nb], new_sid));
+                    let id = r
+                        .transport
+                        .send(agent_nid, nb, Message::PlacementNotice { pos });
+                    pending.push((id, r.sid_of()[nb], new_sid));
                 }
             }
-            // Under chaos the flush interleaves fault injection with the
-            // retry clock, so crashes land between retransmissions.
-            match chaos.as_mut() {
-                Some(ch) => transport.flush_chaos_into(&mut net, ch, flushed),
-                None => transport.flush_into(&mut net, flushed),
-            }
-            // Message ids are unique among terminal outcomes, so a sorted
-            // slice + binary search answers the outcome lookups.
-            flushed.sort_unstable_by_key(|&(id, _)| id);
+            r.flush(map, |m, _, sid| {
+                forget_sensor(m, sid, rc, owners_dirty, dirty)
+            });
             for &(id, recipient_sid, new_sid) in pending.iter() {
                 // A GaveUp notice *may* still have arrived (lost acks
                 // only); the sender cannot tell, so the model takes the
                 // pessimistic branch and treats the recipient as blind.
-                let delivered = flushed
-                    .binary_search_by_key(&id, |&(mid, _)| mid)
-                    .is_ok_and(|ix| flushed[ix].1.is_delivered());
+                let delivered = r.outcome(id).is_some_and(|o| o.is_delivered());
                 if !delivered {
                     // No cache invalidation: the owner sets this entry
                     // feeds lie within `rc` of `new_sid`, already dirty.
@@ -625,75 +509,23 @@ impl VoronoiDecor {
                     knowledge.knows(recipient_sid, new_sid),
                 );
             }
-            // Crashes that fired during the flush retire their sensors
-            // before the round closes.
-            if let Some(ch) = chaos.as_mut() {
-                retire_crashed(
-                    ch.take_crashed(),
-                    map,
-                    sid_of,
-                    rc,
-                    owners_dirty,
-                    dirty,
-                    &cfg.invariants,
-                );
-            }
-
-            cfg.trace.set_time(transport.now());
-            cfg.trace.emit(TraceEvent::RoundEnd {
-                round,
-                placed: (out.placed.len() - placed_before_round) as u64,
-            });
-            cfg.trace.emit(TraceEvent::CoverageDelta {
-                below_target: map.count_below(cfg.k) as u64,
-            });
-            rounds += 1;
-            out.trace.push(TracePoint {
-                total_sensors: initial + out.placed.len(),
-                fraction_k_covered: map.fraction_k_covered(cfg.k),
-            });
-            if map.count_below(cfg.k) == 0 {
-                // Covered, but faults still pending: force the next batch
-                // rather than converging early (see the stall-branch twin).
-                match chaos.as_mut().filter(|ch| !ch.is_exhausted()) {
-                    Some(ch) => {
-                        ch.advance_next_batch(&mut net);
-                        retire_crashed(
-                            ch.take_crashed(),
-                            map,
-                            sid_of,
-                            rc,
-                            owners_dirty,
-                            dirty,
-                            &cfg.invariants,
-                        );
-                    }
-                    None => break,
-                }
+            if !r.end_round(map, |m, _, sid| {
+                forget_sensor(m, sid, rc, owners_dirty, dirty)
+            }) {
+                break;
             }
         }
 
-        out.rounds = rounds;
-        out.fully_covered = map.count_below(cfg.k) == 0;
-        cfg.invariants.check_converged(
-            out.fully_covered,
-            chaos.as_ref().is_some_and(|ch| !ch.is_exhausted()),
-            out.placed.len() >= cfg.max_new_nodes || rounds >= MAX_ROUNDS,
-        );
         let agents = map.n_active_sensors().max(1);
-        out.messages = MessageStats {
-            protocol_total: net.stats.protocol_sent,
+        let sent = r.net.stats.protocol_sent;
+        let messages = MessageStats {
+            protocol_total: sent,
             cells: agents,
-            per_cell: net.stats.protocol_sent as f64 / agents as f64,
-            per_node_rotated: net.stats.protocol_sent as f64 / agents as f64,
-            retries: transport.stats.retries,
-            acks: transport.stats.acks,
-            notices_gave_up: transport.stats.gave_up,
-            duplicates_suppressed: transport.stats.duplicates_suppressed,
+            per_cell: sent as f64 / agents as f64,
+            per_node_rotated: sent as f64 / agents as f64,
+            ..MessageStats::default()
         };
-        pool.net = Some(net);
-        pool.transport = Some(transport);
-        out
+        r.finish(map, pool, messages)
     }
 }
 

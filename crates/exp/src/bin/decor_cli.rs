@@ -17,9 +17,9 @@
 //! ```
 
 use decor_core::restore::fail_and_restore;
-use decor_core::{run_endurance, CoverageMap, DeploymentDiagnostics, EnduranceConfig, Placer};
+use decor_core::{run_endurance, CoverageMap, DeploymentDiagnostics, EnduranceConfig};
 use decor_exp::cli::{
-    params_from, parse_args, parse_disaster, parse_scheme, sensors_from_csv, sensors_to_csv,
+    params_from, parse_args, parse_disaster, placer_from, sensors_from_csv, sensors_to_csv,
     write_trace_out,
 };
 use decor_lds::halton_points;
@@ -31,9 +31,8 @@ fn run() -> Result<(), String> {
     let (params, cfg) = params_from(&args)?;
     match args.command.as_str() {
         "deploy" => {
-            let scheme = parse_scheme(args.get_or("scheme", "grid-small"))?;
+            let placer = placer_from(&args, &params, &cfg, "grid-small")?;
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
-            let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
             let out = placer.place(&mut map, &cfg);
             let diag = DeploymentDiagnostics::analyze(&mut map, cfg.k, cfg.rs);
             println!(
@@ -77,10 +76,9 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "restore" => {
-            let scheme = parse_scheme(args.get_or("scheme", "voronoi-big"))?;
+            let placer = placer_from(&args, &params, &cfg, "voronoi-big")?;
             let disk = parse_disaster(args.get_or("disaster", "50,50,24"))?;
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
-            let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
             // Reach full coverage first, then fail and restore.
             placer.place(&mut map, &cfg);
             let plan = FailurePlan::Area { disk };
@@ -124,13 +122,12 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "endure" => {
-            let scheme = parse_scheme(args.get_or("scheme", "centralized"))?;
             let mut cfg = cfg;
             // The endurance loop always duty-cycles unless --always-on;
             // default knobs apply when --rotate was not given.
             cfg.rotation = Some(cfg.rotation.unwrap_or_default());
+            let placer = placer_from(&args, &params, &cfg, "centralized")?;
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
-            let placer: Box<dyn Placer> = params.placer(scheme, params.base_seed);
             placer.place(&mut map, &cfg);
             let mut e = EnduranceConfig {
                 rotate: args.num_or("always-on", 0u32)? == 0,

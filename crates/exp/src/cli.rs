@@ -5,7 +5,7 @@
 //! library code, so it is unit-testable; the binary is a thin shell.
 
 use crate::common::ExpParams;
-use decor_core::{CoverageMap, DeploymentConfig, SchemeKind};
+use decor_core::{CoverageMap, DeploymentConfig, Placer, SchemeKind};
 use decor_geom::{Disk, Point};
 use decor_net::RotationConfig;
 use std::collections::BTreeMap;
@@ -197,7 +197,7 @@ pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), Stri
     link.loss_seed = args.num_or("loss-seed", link.loss_seed)?;
     link.max_retries = args.num_or("max-retries", link.max_retries)?;
     link.backoff_base = args.num_or("backoff", link.backoff_base)?;
-    link.validate();
+    params.validate()?;
     let chaos = chaos_plan_from(args, &params)?;
     let cfg = DeploymentConfig {
         rs: args.num_or("rs", 4.0)?,
@@ -218,12 +218,29 @@ pub fn params_from(args: &CliArgs) -> Result<(ExpParams, DeploymentConfig), Stri
         chaos,
         rotation: rotation_from(args)?,
     };
+    cfg.validate()?;
     Ok((params, cfg))
+}
+
+/// Instantiates the placer `--scheme` names (`default` when absent) and
+/// checks it against `cfg`, so a scheme whose fixed radii conflict with
+/// the configured ones is reported instead of panicking mid-run.
+pub fn placer_from(
+    args: &CliArgs,
+    params: &ExpParams,
+    cfg: &DeploymentConfig,
+    default: &str,
+) -> Result<Box<dyn Placer>, String> {
+    let scheme = parse_scheme(args.get_or("scheme", default))?;
+    let placer = params.placer(scheme, params.base_seed);
+    placer.validate(cfg)?;
+    Ok(placer)
 }
 
 /// Resolves the rotation flags into a [`RotationConfig`]. Battery and
 /// shift knobs require `--rotate` so a typo cannot silently fall back to
-/// an always-on run.
+/// an always-on run; [`params_from`] checks the knobs' ranges with the
+/// rest of the config.
 fn rotation_from(args: &CliArgs) -> Result<Option<RotationConfig>, String> {
     const KNOBS: [&str; 4] = ["battery", "awake-cost", "sleep-cost", "shift-period"];
     let base = RotationConfig::default();
@@ -233,30 +250,14 @@ fn rotation_from(args: &CliArgs) -> Result<Option<RotationConfig>, String> {
         }
         return Ok(None);
     }
-    let rot = RotationConfig {
+    Ok(Some(RotationConfig {
         target_coverage: args.num_or("rotate", base.target_coverage)?,
         period: args.num_or("shift-period", base.period)?,
         battery: args.num_or("battery", base.battery)?,
         awake_cost: args.num_or("awake-cost", base.awake_cost)?,
         sleep_cost: args.num_or("sleep-cost", base.sleep_cost)?,
         seed: args.num_or("seed", base.seed)?,
-    };
-    if rot.target_coverage == 0 {
-        return Err("flag --rotate: target coverage must be >= 1".into());
-    }
-    if rot.period == 0 {
-        return Err("flag --shift-period: must be positive".into());
-    }
-    if !(rot.battery > 0.0 && rot.battery.is_finite()) {
-        return Err("flag --battery: must be positive".into());
-    }
-    if !(rot.awake_cost > 0.0 && rot.awake_cost.is_finite()) {
-        return Err("flag --awake-cost: must be positive".into());
-    }
-    if !(rot.sleep_cost >= 0.0 && rot.sleep_cost < rot.awake_cost) {
-        return Err("flag --sleep-cost: sleeping must cost less than waking".into());
-    }
-    Ok(Some(rot))
+    }))
 }
 
 /// Resolves `--chaos-seed` / `--chaos-plan` into a fault plan. The seeded
@@ -542,6 +543,27 @@ mod tests {
         ] {
             let a = parse_args(&argv(bad)).unwrap();
             assert!(params_from(&a).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn bad_scenario_values_are_errors_not_panics() {
+        // Each row used to reach an `assert!` inside the run; now the
+        // config checks report it before anything runs.
+        for (line, want) in [
+            ("deploy --k 0", "k must be at least 1"),
+            ("deploy --rs -1", "rs must be positive"),
+            ("deploy --rc 1", "rs <= rc"),
+            ("deploy --max-nodes 0", "max_new_nodes must be positive"),
+            ("deploy --points 0", "n_points must be positive"),
+            ("deploy --field 0", "field_side must be positive"),
+            ("deploy --scheme voronoi-small --rs 9 --rc 20", "rc >= rs"),
+        ] {
+            let a = parse_args(&argv(line)).unwrap();
+            let err = params_from(&a)
+                .and_then(|(p, cfg)| placer_from(&a, &p, &cfg, "grid-small").map(drop))
+                .unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
         }
     }
 

@@ -72,6 +72,18 @@ impl ExpParams {
         }
     }
 
+    /// Checks the field shape, naming the first rule it breaks: at least
+    /// one approximation point on a field of positive, finite side.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_points == 0 {
+            return Err("n_points must be positive".into());
+        }
+        if !(self.field_side.is_finite() && self.field_side > 0.0) {
+            return Err("field_side must be positive and finite".into());
+        }
+        Ok(())
+    }
+
     /// The monitored field.
     pub fn field(&self) -> Aabb {
         Aabb::square(self.field_side)

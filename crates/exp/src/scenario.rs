@@ -172,12 +172,7 @@ impl ScenarioSpec {
         if self.replicas == 0 {
             return Err(ctx("replicas must be positive"));
         }
-        if self.n_points == 0 {
-            return Err(ctx("n_points must be positive"));
-        }
-        if !(self.field_side.is_finite() && self.field_side > 0.0) {
-            return Err(ctx("field_side must be positive and finite"));
-        }
+        self.params().validate().map_err(|e| ctx(&e))?;
         if !(self.fail_frac > 0.0 && self.fail_frac < 1.0) {
             return Err(ctx("fail_frac must be in (0, 1)"));
         }

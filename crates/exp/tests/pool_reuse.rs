@@ -40,9 +40,10 @@ impl Shape {
             SchemeKind::Random,
             SchemeKind::GridSmall,
             SchemeKind::VoronoiSmall,
+            SchemeKind::Holes,
         ];
         Shape {
-            scheme: schemes[(s % 4) as usize],
+            scheme: schemes[(s % 5) as usize],
             // 3:1 deploy-heavy mix, like the production sweeps.
             workload: if (s >> 2).is_multiple_of(4) {
                 Workload::FailureProbe

@@ -65,22 +65,23 @@ impl Default for RotationConfig {
 }
 
 impl RotationConfig {
-    /// Validates the knobs; schedulers and sims call this on entry.
-    pub fn validate(&self) {
-        assert!(self.target_coverage >= 1, "target coverage must be >= 1");
-        assert!(self.period > 0, "shift period must be positive");
-        assert!(
-            self.battery > 0.0 && self.battery.is_finite(),
+    /// Checks the knobs, naming the first rule they break. Schedulers
+    /// and sims panic with that message on entry.
+    pub fn validate(&self) -> Result<(), String> {
+        let rule = if self.target_coverage < 1 {
+            "target coverage must be >= 1"
+        } else if self.period == 0 {
+            "shift period must be positive"
+        } else if !(self.battery > 0.0 && self.battery.is_finite()) {
             "battery must be positive"
-        );
-        assert!(
-            self.awake_cost > 0.0 && self.awake_cost.is_finite(),
+        } else if !(self.awake_cost > 0.0 && self.awake_cost.is_finite()) {
             "awake cost must be positive"
-        );
-        assert!(
-            self.sleep_cost >= 0.0 && self.sleep_cost < self.awake_cost,
+        } else if !(self.sleep_cost >= 0.0 && self.sleep_cost < self.awake_cost) {
             "sleeping must cost less than waking"
-        );
+        } else {
+            return Ok(());
+        };
+        Err(rule.into())
     }
 }
 
@@ -270,18 +271,19 @@ mod tests {
 
     #[test]
     fn default_config_validates() {
-        RotationConfig::default().validate();
+        assert_eq!(RotationConfig::default().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "cost less")]
     fn sleep_dearer_than_awake_rejected() {
-        RotationConfig {
+        let err = RotationConfig {
             sleep_cost: 2.0,
             awake_cost: 1.0,
             ..RotationConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("cost less"), "{err}");
     }
 
     #[test]
