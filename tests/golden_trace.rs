@@ -250,6 +250,50 @@ fn endurance_rotation_disaster_matches_golden() {
     assert_matches_fixture("endurance_rotation.jsonl", &trace);
 }
 
+/// Endurance with spares: the disaster and a chaos crash open a hole,
+/// the neighbors detect it, and the restoration side heals it. The
+/// fixture pins the replacement path that the spare-free scenario above
+/// never reaches: the placer run under the remaining budget, each
+/// replacement's symmetric hello, its fold into the least-loaded shift,
+/// and the re-agreement that follows. The report's `Debug` line is
+/// pinned alongside, so every counter stays bit-identical too.
+#[test]
+fn endurance_restoration_with_spares_matches_golden() {
+    let field = Aabb::square(FIELD_SIDE);
+    let mut cfg = DeploymentConfig::with_k(3);
+    cfg.rc = 5.0;
+    let mut map = CoverageMap::new(halton_points(60, &field), &field, &cfg);
+    CentralizedGreedy.place(&mut map, &cfg);
+    assert_eq!(map.count_below(3), 0, "scenario must start 3-covered");
+    cfg.rotation = Some(RotationConfig::default());
+    cfg.chaos = Some(FaultPlan::parse("2500 crash 5\n").expect("literal plan parses"));
+    cfg.trace = TraceHandle::jsonl_writer();
+    let e = EnduranceConfig {
+        rotate: true,
+        spare_budget: 12,
+        max_periods: 8,
+        timeout_periods: 2,
+        disasters: vec![(1, Disk::new(Point::new(10.0, 12.0), 1.5))],
+    };
+    let report = run_endurance(&mut map, &CentralizedGreedy, &cfg, &e);
+    assert!(report.shifts > 1, "the deployment must actually rotate");
+    assert!(report.disaster_deaths > 0, "the disc must hit someone");
+    assert_eq!(report.chaos_deaths, 1, "the scripted crash must land");
+    assert!(report.restorations > 0, "the hole must be healed");
+    assert!(report.extra_nodes > 0, "spares must be spent");
+    assert!(report.reschedules > 0, "replacements re-enter the rotation");
+    assert_eq!(report.false_positives, 0);
+    let trace = cfg.trace.jsonl().expect("JSONL sink attached");
+    assert_matches_fixture("endurance_restore.jsonl", &trace);
+    assert_eq!(
+        format!("{report:?}"),
+        "EnduranceReport { lifetime_periods: 8, shifts: 3, heartbeats_sent: 224, \
+         false_positives: 0, sleeping_suppressed: 247, battery_deaths: 0, disaster_deaths: 1, \
+         chaos_deaths: 1, detected_deaths: 2, extra_nodes: 2, emergency_periods: 1, \
+         reschedules: 2, restorations: 1, assignments_sent: 32, ended_by_horizon: true }"
+    );
+}
+
 #[test]
 fn traced_runs_replay_with_zero_divergence() {
     // Re-running the same scenario with the same seed must reproduce the
