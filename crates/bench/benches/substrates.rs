@@ -187,13 +187,6 @@ fn bench_sleep_scheduling(c: &mut Criterion) {
     g.bench_function("shifts", |b| {
         b.iter(|| black_box(decor_net::SleepScheduler::new(1).shifts(&net, &pts)))
     });
-    g.bench_function("lifetime_sim", |b| {
-        b.iter(|| {
-            black_box(
-                decor_net::SleepScheduler::new(1).simulate_lifetime(&net, &pts, 50.0, 1.0, 0.01),
-            )
-        })
-    });
     g.finish();
 }
 

@@ -17,10 +17,10 @@
 //! ```
 
 use decor_core::restore::fail_and_restore;
-use decor_core::{run_endurance, CoverageMap, DeploymentDiagnostics, EnduranceConfig};
+use decor_core::{run_endurance, CoverageMap, DeploymentDiagnostics};
 use decor_exp::cli::{
-    params_from, parse_args, parse_disaster, placer_from, sensors_from_csv, sensors_to_csv,
-    write_trace_out,
+    endurance_from, params_from, parse_args, parse_disaster, placer_from, sensors_from_csv,
+    sensors_to_csv, write_trace_out,
 };
 use decor_lds::halton_points;
 use decor_net::FailurePlan;
@@ -126,20 +126,10 @@ fn run() -> Result<(), String> {
             // The endurance loop always duty-cycles unless --always-on;
             // default knobs apply when --rotate was not given.
             cfg.rotation = Some(cfg.rotation.unwrap_or_default());
+            let e = endurance_from(&args)?;
             let placer = placer_from(&args, &params, &cfg, "centralized")?;
             let mut map = params.make_map(&cfg, params.initial_nodes, params.base_seed);
             placer.place(&mut map, &cfg);
-            let mut e = EnduranceConfig {
-                rotate: args.num_or("always-on", 0u32)? == 0,
-                spare_budget: args.num_or("spares", 0usize)?,
-                max_periods: args.num_or("max-periods", 100_000u64)?,
-                timeout_periods: args.num_or("timeout-periods", 3u32)?,
-                disasters: Vec::new(),
-            };
-            if let Some(spec) = args.flags.get("disaster") {
-                let disk = parse_disaster(spec)?;
-                e.disasters = vec![(args.num_or("disaster-at", 5u64)?, disk)];
-            }
             let report = run_endurance(&mut map, placer.as_ref(), &cfg, &e);
             println!(
                 "{} for {} periods ({} shifts{})",

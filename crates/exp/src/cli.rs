@@ -5,7 +5,7 @@
 //! library code, so it is unit-testable; the binary is a thin shell.
 
 use crate::common::ExpParams;
-use decor_core::{CoverageMap, DeploymentConfig, Placer, SchemeKind};
+use decor_core::{CoverageMap, DeploymentConfig, EnduranceConfig, Placer, SchemeKind};
 use decor_geom::{Disk, Point};
 use decor_net::RotationConfig;
 use std::collections::BTreeMap;
@@ -235,6 +235,26 @@ pub fn placer_from(
     let placer = params.placer(scheme, params.base_seed);
     placer.validate(cfg)?;
     Ok(placer)
+}
+
+/// Builds the endurance scenario the `endure` flags describe and checks
+/// it, so a bad value is reported instead of panicking mid-run.
+/// `--disaster x,y,r` strikes at the start of period `--disaster-at`
+/// (default 5).
+pub fn endurance_from(args: &CliArgs) -> Result<EnduranceConfig, String> {
+    let disasters = match args.flags.get("disaster") {
+        Some(spec) => vec![(args.num_or("disaster-at", 5u64)?, parse_disaster(spec)?)],
+        None => Vec::new(),
+    };
+    let e = EnduranceConfig {
+        rotate: args.num_or("always-on", 0u32)? == 0,
+        spare_budget: args.num_or("spares", 0usize)?,
+        max_periods: args.num_or("max-periods", 100_000u64)?,
+        timeout_periods: args.num_or("timeout-periods", 3u32)?,
+        disasters,
+    };
+    e.validate()?;
+    Ok(e)
 }
 
 /// Resolves the rotation flags into a [`RotationConfig`]. Battery and
@@ -558,10 +578,12 @@ mod tests {
             ("deploy --points 0", "n_points must be positive"),
             ("deploy --field 0", "field_side must be positive"),
             ("deploy --scheme voronoi-small --rs 9 --rc 20", "rc >= rs"),
+            ("endure --timeout-periods 1", "at least 2 periods"),
         ] {
             let a = parse_args(&argv(line)).unwrap();
             let err = params_from(&a)
                 .and_then(|(p, cfg)| placer_from(&a, &p, &cfg, "grid-small").map(drop))
+                .and_then(|()| endurance_from(&a).map(drop))
                 .unwrap_err();
             assert!(err.contains(want), "{line}: {err}");
         }

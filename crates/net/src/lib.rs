@@ -55,7 +55,9 @@ pub mod sleep;
 pub mod transport;
 
 pub use chaos::{shrink_plan, ChaosEngine, FaultEvent, FaultKind, FaultPlan};
-pub use detect::{silent_too_long, DetectionReport, HeartbeatConfig, HeartbeatSim};
+pub use detect::{
+    silent_too_long, DetectionReport, HeartbeatConfig, HeartbeatSim, Watch, WatchTable,
+};
 pub use election::{elect_random, rotation_leader, rotation_leader_in};
 pub use energy::EnergyModel;
 pub use event::{EventQueue, Time};
@@ -66,5 +68,5 @@ pub use node::{Node, NodeId};
 pub use reports::{collect_reports, sink_near, DeliveryReport};
 pub use rotation::{NodeLifecycle, RotationConfig, ShiftSchedule};
 pub use routing::{greedy_geographic, send_routed, shortest_path};
-pub use sleep::{LifetimeReport, SleepScheduler};
+pub use sleep::SleepScheduler;
 pub use transport::{DeliveryOutcome, Inbound, MsgId, Transport, TransportConfig, TransportStats};

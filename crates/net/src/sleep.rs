@@ -1,24 +1,23 @@
-//! Sleep scheduling and network-lifetime simulation.
+//! Sleep shifts: the combinatorial half of set-k-cover rotation.
 //!
 //! The paper's third motivation for k-coverage (§1): "When k nodes are
 //! covering a point, we have the option of putting some of them to sleep
 //! or balance the workload among all k nodes. Thus, k-coverage leads to
 //! significant energy savings and increases the lifetime for the
-//! network." This module makes that claim measurable:
+//! network." [`SleepScheduler::shifts`] partitions the alive nodes into
+//! disjoint *shifts*, each of which alone keeps every monitored point
+//! covered at the target degree (greedy set-multicover per shift).
 //!
-//! - [`SleepScheduler::shifts`] partitions the alive nodes into disjoint
-//!   *shifts*, each of which alone keeps every monitored point covered at
-//!   the target degree (greedy set-multicover per shift);
-//! - [`SleepScheduler::simulate_lifetime`] duty-cycles the shifts
-//!   round-robin against a battery model and reports how much longer the
-//!   network keeps its coverage guarantee compared to leaving every node
-//!   awake.
+//! What the shifts buy is measured elsewhere: [`crate::rotation`] runs
+//! them on the tick clock, and `decor_core::run_endurance` duty-cycles a
+//! deployment through drain, death, detection and restoration and reports
+//! its lifetime against an always-on run.
 
 use crate::network::Network;
 use crate::node::NodeId;
 use decor_geom::Point;
 
-/// Builds sleep shifts and simulates duty-cycled lifetime.
+/// Builds sleep shifts.
 ///
 /// ```
 /// use decor_geom::{Aabb, Point};
@@ -31,28 +30,12 @@ use decor_geom::Point;
 /// let points = vec![Point::new(5.0, 5.0)];
 /// let shifts = SleepScheduler::new(1).shifts(&net, &points);
 /// assert_eq!(shifts.len(), 2);
-/// let report = SleepScheduler::new(1).simulate_lifetime(&net, &points, 10.0, 1.0, 0.0);
-/// assert_eq!(report.baseline_periods, 10);
-/// assert_eq!(report.periods_covered, 20); // duty cycling doubles lifetime
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct SleepScheduler {
     /// Coverage degree each shift must maintain on its own (usually 1:
     /// the k-covered deployment is split into ~k 1-covering shifts).
     pub target_coverage: u32,
-}
-
-/// Outcome of a lifetime simulation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LifetimeReport {
-    /// Number of disjoint shifts the scheduler extracted.
-    pub shifts: usize,
-    /// Periods until coverage fell below target with duty cycling.
-    pub periods_covered: u64,
-    /// Periods until coverage fell below target with every node awake.
-    pub baseline_periods: u64,
-    /// `periods_covered / baseline_periods`.
-    pub extension_factor: f64,
 }
 
 impl SleepScheduler {
@@ -190,121 +173,6 @@ impl SleepScheduler {
         }
         Some(shifts)
     }
-
-    /// Simulates duty-cycled operation: in period `t`, shift `t mod S` is
-    /// awake (cost `awake_cost` from its battery), everyone else sleeps
-    /// (cost `sleep_cost`). When the scheduled shift can no longer meet
-    /// the target (dead batteries), all surviving nodes wake as a last
-    /// resort. The run ends when even that fails.
-    ///
-    /// Returns the lifetime report including the all-awake baseline
-    /// computed under the same battery model.
-    pub fn simulate_lifetime(
-        &self,
-        net: &Network,
-        points: &[Point],
-        battery: f64,
-        awake_cost: f64,
-        sleep_cost: f64,
-    ) -> LifetimeReport {
-        assert!(battery > 0.0 && awake_cost > 0.0, "positive battery/cost");
-        assert!(
-            sleep_cost >= 0.0 && sleep_cost < awake_cost,
-            "sleeping must cost less than waking"
-        );
-        let shifts = self.shifts(net, points);
-        let coverers = Self::coverers(net, points);
-        let n = net.len();
-
-        let covered = |energy: &[f64], awake: &dyn Fn(NodeId) -> bool| -> bool {
-            coverers.iter().all(|c| {
-                let mut have = 0;
-                for &id in c {
-                    if energy[id] >= awake_cost && awake(id) {
-                        have += 1;
-                        if have >= self.target_coverage {
-                            return true;
-                        }
-                    }
-                }
-                false
-            })
-        };
-
-        // Baseline: everyone awake every period.
-        let baseline_periods = {
-            let mut energy = vec![battery; n];
-            let mut t = 0u64;
-            loop {
-                if !covered(&energy, &|_| true) {
-                    break;
-                }
-                for e in energy.iter_mut() {
-                    *e -= awake_cost;
-                }
-                t += 1;
-                if t > 10_000_000 {
-                    break; // guard
-                }
-            }
-            t
-        };
-
-        if shifts.is_empty() {
-            return LifetimeReport {
-                shifts: 0,
-                periods_covered: baseline_periods,
-                baseline_periods,
-                extension_factor: 1.0,
-            };
-        }
-
-        // Duty-cycled run.
-        let mut energy = vec![battery; n];
-        let mut member_of = vec![usize::MAX; n];
-        for (si, shift) in shifts.iter().enumerate() {
-            for &id in shift {
-                member_of[id] = si;
-            }
-        }
-        let s = shifts.len();
-        let mut t = 0u64;
-        loop {
-            let scheduled = (t % s as u64) as usize;
-            let shift_ok = covered(&energy, &|id| member_of[id] == scheduled);
-            let all_ok = shift_ok || covered(&energy, &|_| true);
-            if !all_ok {
-                break;
-            }
-            for id in 0..n {
-                if member_of[id] == usize::MAX {
-                    continue; // never part of the alive schedule
-                }
-                let awake = if shift_ok {
-                    member_of[id] == scheduled
-                } else {
-                    true // emergency all-hands period
-                };
-                energy[id] -= if awake { awake_cost } else { sleep_cost };
-                energy[id] = energy[id].max(-1.0);
-            }
-            t += 1;
-            if t > 10_000_000 {
-                break;
-            }
-        }
-
-        LifetimeReport {
-            shifts: s,
-            periods_covered: t,
-            baseline_periods,
-            extension_factor: if baseline_periods == 0 {
-                1.0
-            } else {
-                t as f64 / baseline_periods as f64
-            },
-        }
-    }
 }
 
 fn max_rs(net: &Network) -> f64 {
@@ -373,62 +241,8 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_extension_tracks_layer_count() {
-        let (net, pts) = layered_net(3);
-        let sched = SleepScheduler::new(1);
-        let report = sched.simulate_lifetime(&net, &pts, 100.0, 1.0, 0.01);
-        assert!(report.shifts >= 2);
-        assert!(
-            report.extension_factor > 1.8,
-            "3 layers should nearly triple lifetime, got {:.2}x",
-            report.extension_factor
-        );
-        assert!(report.periods_covered > report.baseline_periods);
-    }
-
-    #[test]
-    fn single_layer_has_no_extension() {
-        let (net, pts) = layered_net(1);
-        let sched = SleepScheduler::new(1);
-        let report = sched.simulate_lifetime(&net, &pts, 50.0, 1.0, 0.0);
-        assert_eq!(report.shifts, 1);
-        assert!(
-            (report.extension_factor - 1.0).abs() < 0.05,
-            "one shift cannot extend lifetime: {report:?}"
-        );
-    }
-
-    #[test]
-    fn baseline_matches_battery_budget() {
-        let (net, pts) = layered_net(2);
-        let sched = SleepScheduler::new(1);
-        let report = sched.simulate_lifetime(&net, &pts, 10.0, 1.0, 0.0);
-        // All-awake: every node dies after exactly 10 periods.
-        assert_eq!(report.baseline_periods, 10);
-    }
-
-    #[test]
-    fn zero_sleep_cost_gives_near_linear_scaling() {
-        let (net, pts) = layered_net(4);
-        let sched = SleepScheduler::new(1);
-        let report = sched.simulate_lifetime(&net, &pts, 20.0, 1.0, 0.0);
-        assert!(report.shifts >= 3);
-        assert!(
-            report.extension_factor >= report.shifts as f64 * 0.8,
-            "{report:?}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_target_panics() {
         let _ = SleepScheduler::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cost less")]
-    fn sleep_dearer_than_awake_panics() {
-        let (net, pts) = layered_net(1);
-        let _ = SleepScheduler::new(1).simulate_lifetime(&net, &pts, 1.0, 1.0, 2.0);
     }
 }

@@ -6,45 +6,58 @@
 //!
 //! The paper's third motivation for k-coverage (§1): with k sensors on
 //! every point, most of them can sleep. This example deploys for
-//! k = 1..4, splits each deployment into disjoint 1-covering shifts, and
-//! duty-cycles them against a battery model, printing the measured
-//! lifetime extension.
+//! k = 1..4 and runs the endurance loop twice on each deployment: once
+//! rotating the in-network agreed 1-covering shifts, once with every node
+//! always on. Both arms pay the same energy model (radio traffic plus idle
+//! cost), and each ends at the first coverage loss no wake-up can mend.
+//! The table prints both lifetimes and the extension rotation buys.
 
-use decor::core::{CentralizedGreedy, CoverageMap, DeploymentConfig, Placer};
-use decor::geom::{Aabb, Point};
+use decor::core::{
+    run_endurance, CentralizedGreedy, CoverageMap, DeploymentConfig, EnduranceConfig, Placer,
+};
+use decor::geom::Aabb;
 use decor::lds::halton_points;
-use decor::net::{Network, SleepScheduler};
+use decor::net::RotationConfig;
 
 fn main() {
     let field = Aabb::square(100.0);
-    println!("k-coverage as an energy budget — battery 60, awake cost 1/period, sleep cost 0.02/period\n");
+    let rot = RotationConfig::default();
+    println!(
+        "k-coverage as an energy budget — battery {}, awake cost {}/period, sleep cost {}/period\n",
+        rot.battery, rot.awake_cost, rot.sleep_cost
+    );
     println!(
         "{:>3} {:>8} {:>8} {:>16} {:>16} {:>11}",
-        "k", "sensors", "shifts", "duty-cycled", "all-awake", "extension"
+        "k", "sensors", "shifts", "rotating", "always-on", "extension"
     );
     for k in 1..=4u32 {
         let cfg = DeploymentConfig {
             k,
+            rotation: Some(rot),
             ..DeploymentConfig::default()
         };
-        let mut map = CoverageMap::new(halton_points(2000, &field), &field, &cfg);
-        let out = CentralizedGreedy.place(&mut map, &cfg);
+        let mut deployed = CoverageMap::new(halton_points(2000, &field), &field, &cfg);
+        let out = CentralizedGreedy.place(&mut deployed, &cfg);
         assert!(out.fully_covered);
 
-        let mut net = Network::new(field);
-        for (_, pos) in map.active_sensors() {
-            net.add_node(pos, cfg.rs, cfg.rc);
-        }
-        let pts: Vec<Point> = map.points().to_vec();
-        let report = SleepScheduler::new(1).simulate_lifetime(&net, &pts, 60.0, 1.0, 0.02);
+        let arm = |rotate: bool| {
+            let mut map = deployed.clone();
+            let e = EnduranceConfig {
+                rotate,
+                ..EnduranceConfig::default()
+            };
+            run_endurance(&mut map, &CentralizedGreedy, &cfg, &e)
+        };
+        let always_on = arm(false);
+        let rotating = arm(true);
         println!(
-            "{:>3} {:>8} {:>8} {:>9} periods {:>9} periods {:>10.2}x",
+            "{:>3} {:>8} {:>8} {:>8} periods {:>8} periods {:>10.2}x",
             k,
-            map.n_active_sensors(),
-            report.shifts,
-            report.periods_covered,
-            report.baseline_periods,
-            report.extension_factor
+            deployed.n_active_sensors(),
+            rotating.shifts,
+            rotating.lifetime_periods,
+            always_on.lifetime_periods,
+            rotating.extension_over(&always_on)
         );
     }
     println!("\na tight greedy deployment decomposes into roughly k/2 disjoint shifts");

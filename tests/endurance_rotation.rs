@@ -14,11 +14,11 @@
 //! time (~100 periods at default batteries) or the capped run reports
 //! `ended_by_horizon` instead of a lifetime.
 
-use decor::core::{run_endurance, EnduranceConfig, EnduranceReport, SchemeKind};
+use decor::core::{run_endurance, EnduranceConfig, EnduranceReport, GridDecor, SchemeKind};
 use decor::exp::common::{deploy_with, ExpParams};
 use decor::exp::MatrixRunner;
 use decor::geom::{Disk, Point};
-use decor::net::RotationConfig;
+use decor::net::{FaultPlan, RotationConfig};
 
 /// The horizon cap: `ENDURANCE_MAX_PERIODS` when set (the CI endurance
 /// job), a test-friendly default otherwise.
@@ -128,4 +128,33 @@ fn capped_horizon_ends_an_immortal_run() {
     // ENDURANCE_MAX_PERIODS bounds wall-clock.
     assert!(report.ended_by_horizon);
     assert_eq!(report.lifetime_periods, 40);
+}
+
+#[test]
+fn restorations_keep_the_map_in_step_with_the_network() {
+    // A round-based placer heals with the loop's own chaos plan in
+    // force. The loop applies that plan itself, so a restoration must
+    // not replay it: every sensor the map retires has to be a node the
+    // network buried, or the map under-counts live, beating nodes.
+    let params = ExpParams::quick();
+    let (mut map, _, mut cfg) = deploy_with(&params, SchemeKind::Centralized, 3, 5, |cfg| {
+        cfg.rotation = Some(RotationConfig::default());
+    });
+    cfg.chaos = Some(FaultPlan::parse("1000 crash 3\n4000 crash 40\n").expect("literal plan"));
+    let initial = map.n_active_sensors();
+    let e = EnduranceConfig {
+        spare_budget: 60,
+        max_periods: 40,
+        disasters: vec![(3, Disk::new(Point::new(50.0, 50.0), 8.0))],
+        ..EnduranceConfig::default()
+    };
+    let report = run_endurance(&mut map, &GridDecor { cell_size: 5.0 }, &cfg, &e);
+    assert!(report.restorations > 0, "the hole must be healed");
+    assert_eq!(report.chaos_deaths, 2, "both scripted crashes land");
+    let deaths = report.battery_deaths + report.disaster_deaths + report.chaos_deaths;
+    assert_eq!(
+        map.n_active_sensors(),
+        initial + report.extra_nodes - deaths,
+        "map and network disagree on who is alive: {report:?}"
+    );
 }
